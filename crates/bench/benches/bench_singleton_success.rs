@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
-use xpeval_core::{CompiledQuery, Context, EvalStrategy, SingletonSuccess, SuccessTarget};
+use xpeval_core::{CompiledQuery, Context, EvalStrategy, SuccessTarget};
 use xpeval_workloads::{auction_site_document, pwf_query_corpus};
 
 fn bench_singleton_success(c: &mut Criterion) {
@@ -22,22 +22,18 @@ fn bench_singleton_success(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(2));
     group.warm_up_time(Duration::from_millis(500));
     for (name, query) in pwf_query_corpus() {
-        // The raw decision procedure: one Singleton-Success instance.
+        // Everything runs through the compiled form (compile once, outside
+        // the timed loop).
+        let compiled = CompiledQuery::from_expr(query.clone());
+        // The raw decision procedure: one Singleton-Success instance, on a
+        // fresh checker (cold memo tables) per decision.
+        let target = SuccessTarget::Node(some_node);
         group.bench_with_input(
             BenchmarkId::new("decide_single_node", name),
             &query,
-            |b, q| {
-                let checker = SingletonSuccess::new(&doc, q).unwrap();
-                b.iter(|| {
-                    checker
-                        .decide(ctx, &SuccessTarget::Node(some_node))
-                        .unwrap()
-                })
-            },
+            |b, _| b.iter(|| compiled.decide(&doc, ctx, &target).unwrap()),
         );
-        // Full node-set recovery and the DP baseline, both through the
-        // compiled form (compile once, outside the timed loop).
-        let compiled = CompiledQuery::from_expr(query.clone());
+        // Full node-set recovery and the DP baseline.
         let success = compiled
             .clone()
             .with_strategy(EvalStrategy::SingletonSuccess);

@@ -10,7 +10,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use xpeval_bench::TextTable;
-use xpeval_core::{CompiledQuery, Context, EvalStrategy, SingletonSuccess, SuccessTarget, Value};
+use xpeval_core::{CompiledQuery, Context, EvalStrategy, SuccessTarget, Value};
 use xpeval_syntax::parse_query;
 use xpeval_workloads::auction_site_document;
 
@@ -48,35 +48,22 @@ fn main() {
     ]);
     let mut all_ok = true;
     for (construct, src) in rows {
-        let query = parse_query(src).unwrap();
-        let reference = CompiledQuery::from_expr(query.clone())
-            .with_strategy(EvalStrategy::ContextValueTable)
-            .run(&doc)
-            .unwrap()
-            .value;
-        let checker = SingletonSuccess::new(&doc, &query).unwrap();
+        let compiled = CompiledQuery::from_expr(parse_query(src).unwrap());
+        let run = |strategy| compiled.clone().with_strategy(strategy).run(&doc);
+        let reference = run(EvalStrategy::ContextValueTable).unwrap().value;
+        let decide = |target| compiled.decide(&doc, ctx, &target).unwrap();
         let (kind, size, ok) = match &reference {
             Value::NodeSet(expected) => {
                 // Per-node agreement of decide() plus the Theorem 5.5 loop.
-                let mut ok = checker.node_set(ctx).unwrap() == *expected;
+                let mut ok = run(EvalStrategy::SingletonSuccess).unwrap().value == reference;
                 for v in doc.all_nodes() {
-                    let member = expected.contains(&v);
-                    ok &= checker.decide(ctx, &SuccessTarget::Node(v)).unwrap() == member;
+                    ok &= decide(SuccessTarget::Node(v)) == expected.contains(&v);
                 }
                 ("node-set", expected.len(), ok)
             }
-            Value::Boolean(b) => {
-                let ok = checker.decide(ctx, &SuccessTarget::True).unwrap() == *b;
-                ("boolean", 1, ok)
-            }
-            Value::Number(n) => {
-                let ok = checker.decide(ctx, &SuccessTarget::Number(*n)).unwrap();
-                ("number", 1, ok)
-            }
-            Value::Str(s) => {
-                let ok = checker.decide(ctx, &SuccessTarget::Str(s.clone())).unwrap();
-                ("string", 1, ok)
-            }
+            Value::Boolean(b) => ("boolean", 1, decide(SuccessTarget::True) == *b),
+            Value::Number(n) => ("number", 1, decide(SuccessTarget::Number(*n))),
+            Value::Str(s) => ("string", 1, decide(SuccessTarget::Str(s.clone()))),
         };
         all_ok &= ok;
         table.row(&[

@@ -9,33 +9,28 @@
 //! once and [`run`](CompiledQuery::run) it against any number of documents
 //! and contexts.
 //!
-//! All five evaluation strategies are driven through the compiled form;
-//! see [`CompiledQuery::run_with_context`].  Batch evaluation over many
-//! contexts ([`CompiledQuery::run_many`]) shares the DP evaluator's
+//! All five evaluation strategies run the lowered [`PlanIr`] through one
+//! funnel, [`crate::exec`]; see [`CompiledQuery::run_with_context`].  Batch
+//! evaluation over many contexts ([`CompiledQuery::run_many`]) shares the
 //! context-value tables across the whole batch, which is exactly the
 //! amortization Proposition 2.7's polynomial bound comes from.
 //!
 //! The document side mirrors the split: [`CompiledQuery::run_prepared`]
 //! evaluates against a [`PreparedDocument`] (axis indexes built once per
-//! document), with the strategy re-tuned by document size
-//! ([`recommended_strategy_for_document`]), and
+//! document), with the strategy re-tuned by document size and tag-index
+//! selectivity ([`CompiledQuery::strategy_for_source`]), and
 //! [`CompiledQuery::run_streaming`] yields node-set results through a
 //! [`NodeStream`] instead of materializing them.
 
 use crate::bindings::Bindings;
 use crate::context::Context;
-use crate::corexpath::CoreXPathEvaluator;
-use crate::dp::DpEvaluator;
 use crate::engine::EvalStrategy;
 use crate::error::EvalError;
-use crate::exec::EvalEnv;
+use crate::exec::{execute_ir, EvalEnv, IrEvaluator, IrLinear, IrSingletonSuccess, SuccessTarget};
 use crate::ir::PlanIr;
-use crate::naive::NaiveEvaluator;
-use crate::parallel::ParallelEvaluator;
 use crate::registry::{FragmentImpact, FunctionRegistry};
 use crate::stats::EvalStats;
 use crate::stream::NodeStream;
-use crate::success::SingletonSuccess;
 use crate::value::Value;
 use std::sync::Arc;
 use std::time::Instant;
@@ -117,8 +112,7 @@ pub const PARALLEL_MIN_CANDIDATES: usize = 128;
 
 /// The size-degrade rule itself: a parallel plan on a document below
 /// [`PARALLEL_MIN_NODES`] nodes becomes sequential Singleton-Success;
-/// everything else is unchanged.  Single source of truth for both
-/// [`recommended_strategy_for_document`] and
+/// everything else is unchanged.  The rule behind
 /// [`CompiledQuery::strategy_for`].
 fn degrade_for_size(strategy: EvalStrategy, node_count: usize) -> EvalStrategy {
     match strategy {
@@ -162,31 +156,6 @@ fn degrade_for_source<S: AxisSource + ?Sized>(
     }
 }
 
-/// Size-aware refinement of [`recommended_strategy`]: identical, except
-/// that the parallel plan degrades to sequential Singleton-Success below
-/// [`PARALLEL_MIN_NODES`] document nodes.  Used automatically whenever a
-/// [`PreparedDocument`] makes the node count available at dispatch time.
-pub fn recommended_strategy_for_document(
-    report: &FragmentReport,
-    threads: usize,
-    node_count: usize,
-) -> EvalStrategy {
-    degrade_for_size(recommended_strategy(report, threads), node_count)
-}
-
-/// Source-aware refinement of [`recommended_strategy_for_document`]: the
-/// document size rule plus tag-index selectivity
-/// ([`PARALLEL_MIN_CANDIDATES`]).  This is what the prepared evaluation
-/// entry points use when the strategy is selected automatically.
-pub fn recommended_strategy_for_source<S: AxisSource + ?Sized>(
-    report: &FragmentReport,
-    threads: usize,
-    expr: &Expr,
-    src: &S,
-) -> EvalStrategy {
-    degrade_for_source(recommended_strategy(report, threads), expr, src)
-}
-
 /// The result of one evaluation: the XPath value, the unified work counters
 /// of the strategy that ran, and the fragment the query was classified into.
 #[derive(Clone, Debug, PartialEq)]
@@ -225,10 +194,9 @@ pub struct CompiledQuery {
     /// to an explicit override); only auto plans are re-tuned by document
     /// size on the prepared paths.
     auto_plan: bool,
-    /// The flat instruction form every run path executes
-    /// ([`crate::exec::execute_ir`]); lowered once at compile time and
-    /// shared by reference across clones, specializations and catalog
-    /// artifacts.
+    /// The flat instruction form every run path executes ([`crate::exec`]);
+    /// lowered once at compile time and shared by reference across clones,
+    /// specializations and catalog artifacts.
     ir: Arc<PlanIr>,
     /// The registered functions this plan may call, shared with the engine
     /// (or options) that compiled it.
@@ -461,8 +429,8 @@ impl CompiledQuery {
     }
 
     /// The single strategy-dispatch funnel of every run path: exactly
-    /// [`crate::exec::execute_ir`] when no telemetry is attached (one
-    /// branch of overhead), and the metered path otherwise.
+    /// `exec::execute_ir` when no telemetry is attached (one branch of
+    /// overhead), and the metered path otherwise.
     fn dispatch<S: AxisSource + ?Sized>(
         &self,
         strategy: EvalStrategy,
@@ -471,7 +439,7 @@ impl CompiledQuery {
         env: EvalEnv<'_>,
     ) -> Result<(Value, EvalStats), EvalError> {
         match &self.telemetry {
-            None => crate::exec::execute_ir(strategy, src, &self.expr, &self.ir, ctx, env),
+            None => execute_ir(strategy, src, &self.ir, ctx, env),
             Some(meter) => self.dispatch_observed(meter, strategy, src, ctx, env),
         }
     }
@@ -494,7 +462,7 @@ impl CompiledQuery {
             // Unsampled runs pay counters only — no clock reads, no
             // allocation; this is what keeps sampling-off telemetry within
             // the 2% bar `bench_telemetry` prices.
-            let result = crate::exec::execute_ir(strategy, src, &self.expr, &self.ir, ctx, env);
+            let result = execute_ir(strategy, src, &self.ir, ctx, env);
             if result.is_err() {
                 meter.query_errors_total.inc();
             }
@@ -506,7 +474,7 @@ impl CompiledQuery {
             ..env
         };
         let start = Instant::now();
-        let result = crate::exec::execute_ir(strategy, src, &self.expr, &self.ir, ctx, env);
+        let result = execute_ir(strategy, src, &self.ir, ctx, env);
         let elapsed = start.elapsed();
         if result.is_err() {
             meter.query_errors_total.inc();
@@ -610,7 +578,7 @@ impl CompiledQuery {
     /// The strategy that will run against a document of `node_count` nodes:
     /// the compiled plan, except that an automatically selected parallel
     /// plan degrades to sequential Singleton-Success below
-    /// [`PARALLEL_MIN_NODES`] (see [`recommended_strategy_for_document`]).
+    /// [`PARALLEL_MIN_NODES`].
     pub fn strategy_for(&self, node_count: usize) -> EvalStrategy {
         if self.auto_plan {
             degrade_for_size(self.plan, node_count)
@@ -637,25 +605,17 @@ impl CompiledQuery {
     /// A document-specialized copy of this plan: the strategy the
     /// source-aware cost model would pick on every run
     /// ([`CompiledQuery::strategy_for_source`]) is computed once and pinned
-    /// as the copy's fixed strategy, and every name test is resolved to the
-    /// source's interned [`xpeval_dom::TagId`]s
-    /// ([`crate::steps::resolve_name_tests`]) — running the specialized
-    /// plan skips selectivity probing, strategy selection *and* per-step
-    /// string hashing entirely.
+    /// as the copy's fixed strategy — running the specialized plan skips
+    /// selectivity probing and strategy selection entirely.  (Name tests
+    /// need no per-document pinning: the shared [`PlanIr`] already carries
+    /// workspace-global [`xpeval_dom::TagId`]s.)
     ///
-    /// The pinned choices are valid for exactly the document it was made
-    /// against (tag counts, node count and tag ids are baked in);
-    /// re-specialize when the document is replaced or structurally edited.
-    /// This is the plan half of a catalog's (query × document) artifact.
+    /// The pinned choice is valid for exactly the document it was made
+    /// against (tag counts and node count are baked in); re-specialize when
+    /// the document is replaced or structurally edited.  This is the plan
+    /// half of a catalog's (query × document) artifact.
     pub fn specialize_for_source<S: AxisSource + ?Sized>(&self, src: &S) -> CompiledQuery {
-        let mut specialized = self.clone().with_strategy(self.strategy_for_source(src));
-        // Tag-id pinning only makes sense against a source that actually
-        // publishes a tag index; a capability-masked or unindexed backend
-        // answers name tests by string, so the plan keeps the names.
-        if src.capabilities().tag_index {
-            crate::steps::resolve_name_tests(&mut specialized.expr, src);
-        }
-        specialized
+        self.clone().with_strategy(self.strategy_for_source(src))
     }
 
     /// Evaluates against a document from the canonical root context.
@@ -779,16 +739,16 @@ impl CompiledQuery {
             EvalStrategy::CoreXPathLinear => {
                 // Set-at-a-time evaluation ends in a bitset; stream its
                 // members without collecting them.
-                let ev = CoreXPathEvaluator::new(src);
-                let bits = ev.evaluate_bits(&self.expr, &[ctx.node])?;
+                let ev = IrLinear::new(src, &self.ir, None)?;
+                let bits = ev.evaluate_bits(self.ir.root(), &[ctx.node])?;
                 Ok(NodeStream::from_bits(bits, src.document_order()))
             }
             EvalStrategy::SingletonSuccess | EvalStrategy::Parallel { .. } => {
                 // Theorem 5.5 as an iterator: one Singleton-Success
                 // decision per candidate, made when the stream reaches it.
                 // (The parallel plan streams through the same sequential
-                // loop — a stream is consumed in order anyway.)  The IR
-                // checker also carries the plan's registry, so queries over
+                // loop — a stream is consumed in order anyway.)  The
+                // checker carries the plan's registry, so queries over
                 // registered functions stream like everything else.
                 if self.ir.op(self.ir.root()).ty != ExprType::NodeSet {
                     return Err(EvalError::type_error(format!(
@@ -796,7 +756,7 @@ impl CompiledQuery {
                         self.source
                     )));
                 }
-                let checker = crate::exec::IrSingletonSuccess::new(src, &self.ir, self.base_env())?;
+                let checker = IrSingletonSuccess::new(src, &self.ir, self.base_env())?;
                 let root = self.ir.root();
                 Ok(NodeStream::from_decide(
                     src.document_order(),
@@ -897,7 +857,7 @@ impl CompiledQuery {
     ) -> Result<Vec<QueryOutput>, EvalError> {
         match strategy {
             EvalStrategy::ContextValueTable => {
-                let mut ev = crate::exec::IrEvaluator::memoized(src, &self.ir, env);
+                let mut ev = IrEvaluator::memoized(src, &self.ir, env);
                 let mut out = Vec::with_capacity(contexts.len());
                 for &ctx in contexts {
                     let value = ev.eval(self.ir.root(), ctx)?;
@@ -921,6 +881,20 @@ impl CompiledQuery {
                 })
                 .collect(),
         }
+    }
+
+    /// Decides one **Singleton-Success** instance (Definition 5.3) without
+    /// materializing the result: does the query, evaluated in `ctx`, select
+    /// the node / produce the value `target` names?  Runs the Lemma 5.4
+    /// machine whatever strategy the plan is pinned to, so the query must
+    /// pass its admission check (pWF/pXPath, Definition 6.1).
+    pub fn decide<S: AxisSource + ?Sized>(
+        &self,
+        src: &S,
+        ctx: Context,
+        target: &SuccessTarget,
+    ) -> Result<bool, EvalError> {
+        IrSingletonSuccess::new(src, &self.ir, self.base_env())?.decide(ctx, target)
     }
 
     /// Convenience: evaluates from the root context and returns just the
@@ -1046,47 +1020,6 @@ fn referenced_variables(expr: &Expr) -> Vec<String> {
     names.sort();
     names.dedup();
     names
-}
-
-/// Dispatches one evaluation to a strategy.  This is the single funnel every
-/// public evaluation entry point goes through; the document arrives through
-/// any [`AxisSource`] (plain or prepared).
-pub(crate) fn execute<S: AxisSource + ?Sized>(
-    strategy: EvalStrategy,
-    src: &S,
-    expr: &Expr,
-    ctx: Context,
-) -> Result<(Value, EvalStats), EvalError> {
-    match strategy {
-        EvalStrategy::ContextValueTable => {
-            let mut ev = DpEvaluator::new(src, expr);
-            let value = ev.evaluate_with_context(ctx)?;
-            Ok((value, ev.stats()))
-        }
-        EvalStrategy::Naive => {
-            let mut ev = NaiveEvaluator::new(src);
-            let value = ev.evaluate_with_context(expr, ctx)?;
-            Ok((value, ev.stats()))
-        }
-        EvalStrategy::CoreXPathLinear => {
-            let ev = CoreXPathEvaluator::new(src);
-            let nodes = ev.evaluate_from(expr, &[ctx.node])?;
-            Ok((Value::NodeSet(nodes), ev.stats()))
-        }
-        EvalStrategy::Parallel { threads } => {
-            let ev = ParallelEvaluator::new(src, threads);
-            ev.evaluate_with_stats(expr, ctx)
-        }
-        EvalStrategy::SingletonSuccess => {
-            let checker = SingletonSuccess::new(src, expr)?;
-            let value = match expr.expr_type() {
-                ExprType::NodeSet => Value::NodeSet(checker.node_set(ctx)?),
-                ExprType::Boolean => Value::Boolean(checker.eval_boolean(expr, ctx)?),
-                _ => checker.eval_scalar(expr, ctx)?,
-            };
-            Ok((value, checker.stats()))
-        }
-    }
 }
 
 #[cfg(test)]

@@ -10,15 +10,15 @@
 //! [`Engine::evaluate_batch`]) next to the classic one-shot calls.
 //!
 //! The one-shot calls are thin wrappers: `evaluate_str` is exactly
-//! `compile()` + [`CompiledQuery::run`], and `evaluate` is the same minus
-//! the parse.  All five evaluation strategies are reachable through the
-//! compiled form; the engine adds only configuration and caching on top.
+//! `compile()` + [`CompiledQuery::run`], and `evaluate` is
+//! `compile_expr()` + `run` (the same minus the parse and the cache).  All
+//! five evaluation strategies are reachable through the compiled form; the
+//! engine adds only configuration and caching on top.
 
 use crate::bindings::Bindings;
 use crate::cache::{CacheStats, DocumentCache, ShardedPlanCache};
 use crate::compile::{
-    default_threads, recommended_strategy, recommended_strategy_for_source, CompileOptions,
-    CompiledQuery, QueryOutput,
+    default_threads, recommended_strategy, CompileOptions, CompiledQuery, QueryOutput,
 };
 use crate::context::Context;
 use crate::error::EvalError;
@@ -322,23 +322,17 @@ impl Engine {
 
     /// Evaluates a query from an explicit context triple.
     ///
-    /// Dispatches through the same strategy funnel as
-    /// [`CompiledQuery::run`], but skips building a `CompiledQuery` (no AST
-    /// clone, no source rendering): callers holding an `&Expr` and
-    /// evaluating it repeatedly should not pay per-call compilation —
-    /// compile once via [`Engine::compile_expr`] if they want the plan
-    /// object itself.
+    /// Exactly [`Engine::compile_expr`] + [`CompiledQuery::run_with_context`]:
+    /// the expression is lowered on every call (there is no string key to
+    /// cache under), so callers evaluating one `&Expr` repeatedly should
+    /// compile it once and keep the plan.
     pub fn evaluate_with_context(
         &self,
         doc: &Document,
         query: &Expr,
         ctx: Context,
     ) -> Result<Value, EvalError> {
-        let strategy = match self.inner.strategy {
-            Some(s) => s,
-            None => recommended_strategy(&classify(query), self.inner.threads),
-        };
-        crate::compile::execute(strategy, doc, query, ctx).map(|(value, _)| value)
+        Ok(self.compile_expr(query).run_with_context(doc, ctx)?.value)
     }
 
     /// Parses (through the plan cache) and evaluates a query string,
@@ -424,22 +418,16 @@ impl Engine {
     }
 
     /// Evaluates a query against a prepared document from the canonical
-    /// root context.  With automatic strategy selection the document's node
-    /// count and the tag-index selectivity of the query participate in the
-    /// choice ([`recommended_strategy_for_source`]).
+    /// root context ([`Engine::compile_expr`] +
+    /// [`CompiledQuery::run_prepared`]).  With automatic strategy selection
+    /// the document's node count and the tag-index selectivity of the query
+    /// participate in the choice ([`CompiledQuery::strategy_for_source`]).
     pub fn evaluate_prepared(
         &self,
         doc: &PreparedDocument,
         query: &Expr,
     ) -> Result<Value, EvalError> {
-        let strategy = match self.inner.strategy {
-            Some(s) => s,
-            None => {
-                recommended_strategy_for_source(&classify(query), self.inner.threads, query, doc)
-            }
-        };
-        let ctx = Context::root(doc.document());
-        crate::compile::execute(strategy, doc, query, ctx).map(|(value, _)| value)
+        Ok(self.compile_expr(query).run_prepared(doc)?.value)
     }
 
     /// Parses (through the plan cache) and evaluates a query string against

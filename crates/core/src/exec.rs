@@ -1,46 +1,45 @@
-//! Executors for the flat plan IR.
+//! The interpreters of the flat plan IR — the only code that runs a query.
 //!
-//! Each machine here is the [`crate::ir::PlanIr`] counterpart of one of the
-//! AST evaluators, with identical observable semantics — same values, same
-//! error variants, same work-counter protocol:
+//! One machine per result of the paper, each reading [`crate::ir::PlanIr`]:
 //!
-//! | IR machine | AST counterpart | strategy |
+//! | IR machine | algorithm | strategy |
 //! |---|---|---|
-//! | `IrEvaluator` (memoized) | [`crate::DpEvaluator`] | `ContextValueTable` |
-//! | `IrEvaluator` (eager) | [`crate::NaiveEvaluator`] | `Naive` |
-//! | `IrLinear` | [`crate::CoreXPathEvaluator`] | `CoreXPathLinear` |
-//! | `IrSingletonSuccess` | [`crate::SingletonSuccess`] | `SingletonSuccess` / `Parallel` |
+//! | `IrEvaluator` (memoized) | context-value-table dynamic program (Proposition 2.7, Theorem 7.2) | `ContextValueTable` |
+//! | `IrEvaluator` (eager) | per-occurrence re-evaluation with list semantics (Section 1) | `Naive` |
+//! | `IrLinear` | set-at-a-time O(&#124;D&#124;·&#124;Q&#124;) Core XPath (Proposition 2.7) | `CoreXPathLinear` |
+//! | `IrSingletonSuccess` | the Lemma 5.4 / Table 1 NAuxPDA, simulated deterministically | `SingletonSuccess` |
+//! | `parallel_ir` | the Theorem 5.5 loop over per-worker checkers (Remark 5.6) | `Parallel` |
 //!
-//! What the IR machines do *not* redo at run time is the point: fragment
+//! What the machines do *not* redo at run time is the point: fragment
 //! admission and Definition 6.1 validation are precomputed verdicts
 //! ([`PlanIr::linear_check`] / [`PlanIr::ss_check`]), positional picks are
 //! pre-recognized per step, and name tests arrive pre-resolved to global
 //! [`xpeval_dom::TagId`]s, so the hot loops run without a single string
 //! hash or AST pointer chase.
 //!
-//! `execute_ir` is the strategy dispatch funnel the compiled-query run
-//! paths go through ([`crate::CompiledQuery::run_with_context`] and
-//! friends); the `&Expr` entry points of [`crate::Engine`] keep using the
-//! AST funnel in [`crate::compile`].
+//! `execute_ir` is the single strategy dispatch funnel: every
+//! [`crate::CompiledQuery`] run path and every [`crate::Engine`] entry point
+//! (a bare `&Expr` is compiled first) ends here.  The AST is consulted by
+//! exactly one evaluator, [`crate::reference`], which no request path calls.
 
 use crate::bindings::Bindings;
 use crate::context::{Context, ContextKey};
-use crate::corexpath::{CoreXPathEvaluator, NodeBitSet};
 use crate::engine::EvalStrategy;
 use crate::error::EvalError;
 use crate::functions::call_function;
 use crate::ir::{OpId, OpKind, PlanIr, StepIr};
 use crate::registry::FunctionRegistry;
+use crate::sets::{self, NodeBitSet};
 use crate::stats::EvalStats;
 use crate::steps::predicate_holds;
 use crate::value::Value;
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::time::Instant;
 use xpeval_dom::{AxisSource, Document, NodeId, NodeTest};
 use xpeval_obs::OpTrace;
 use xpeval_syntax::ast::ExprType;
-use xpeval_syntax::Expr;
 
 /// Per-evaluation environment threaded through the IR machines: the
 /// registered functions visible to `Call` opcodes whose name is not a
@@ -128,15 +127,10 @@ impl<'e> EvalEnv<'e> {
     }
 }
 
-/// Dispatches one evaluation of a lowered plan to a strategy — the IR twin
-/// of [`crate::compile::execute`].  The AST is still passed alongside: the
-/// one corner the IR does not cover bit-for-bit (a *scalar* expression
-/// handed to the linear strategy, whose rejection message renders the
-/// original expression) falls back to the AST evaluator.
+/// Dispatches one evaluation of a lowered plan to a strategy.
 pub(crate) fn execute_ir<S: AxisSource + ?Sized>(
     strategy: EvalStrategy,
     src: &S,
-    expr: &Expr,
     ir: &PlanIr,
     ctx: Context,
     env: EvalEnv<'_>,
@@ -153,28 +147,17 @@ pub(crate) fn execute_ir<S: AxisSource + ?Sized>(
             Ok((value, ev.stats()))
         }
         EvalStrategy::CoreXPathLinear => {
-            ir.linear_check()?;
-            if ir.op(ir.root()).kind.is_nodeset() {
-                let ev = IrLinear::new(src, ir, env.trace);
-                let nodes = ev.evaluate_from(ir.root(), &[ctx.node])?;
-                Ok((Value::NodeSet(nodes), ev.stats()))
-            } else {
-                // Non-node-set root inside Core XPath: the AST machine
-                // produces the exact historical rejection text.
-                let ev = CoreXPathEvaluator::new(src);
-                let nodes = ev.evaluate_from(expr, &[ctx.node])?;
-                Ok((Value::NodeSet(nodes), ev.stats()))
-            }
+            // A scalar root inside Core XPath (`not(//a)`) passes the
+            // fragment check and is rejected by the machine itself: it
+            // computes node sets only.
+            let ev = IrLinear::new(src, ir, env.trace)?;
+            let nodes = ev.evaluate_from(ir.root(), &[ctx.node])?;
+            Ok((Value::NodeSet(nodes), ev.stats()))
         }
         EvalStrategy::Parallel { threads } => parallel_ir(src, ir, threads.max(1), ctx, env),
         EvalStrategy::SingletonSuccess => {
             let checker = IrSingletonSuccess::new(src, ir, env)?;
-            let root = ir.root();
-            let value = match ir.op(root).ty {
-                ExprType::NodeSet => Value::NodeSet(checker.node_set(ctx)?),
-                ExprType::Boolean => Value::Boolean(checker.eval_boolean(root, ctx)?),
-                _ => checker.eval_scalar(root, ctx)?,
-            };
+            let value = checker.evaluate(ctx)?;
             Ok((value, checker.stats()))
         }
     }
@@ -182,13 +165,12 @@ pub(crate) fn execute_ir<S: AxisSource + ?Sized>(
 
 /// The recursive tree-walk executor, in two modes sharing one step loop:
 ///
-/// * **memoized** — the context-value-table dynamic program of
-///   [`crate::DpEvaluator`]: every `(opcode, context-key)` value is computed
-///   once, paths use set semantics (sort + dedup between steps), `and`/`or`
-///   short-circuit.
-/// * **eager** — the naive baseline of [`crate::NaiveEvaluator`]: every
-///   occurrence re-evaluates, paths use list semantics with the
-///   max-intermediate-list watermark, `and`/`or` evaluate both sides.
+/// * **memoized** — the context-value-table dynamic program: every
+///   `(opcode, context-key)` value is computed once, paths use set semantics
+///   (sort + dedup between steps), `and`/`or` short-circuit.
+/// * **eager** — the naive baseline: every occurrence re-evaluates, paths
+///   use list semantics with the max-intermediate-list watermark, `and`/`or`
+///   evaluate both sides.
 pub(crate) struct IrEvaluator<'d, 'q, S: AxisSource + ?Sized = Document> {
     src: &'d S,
     doc: &'d Document,
@@ -197,7 +179,6 @@ pub(crate) struct IrEvaluator<'d, 'q, S: AxisSource + ?Sized = Document> {
     memoized: bool,
     memo: HashMap<(OpId, ContextKey), Value>,
     stats: EvalStats,
-    list_limit: usize,
 }
 
 impl<'d, 'q, S: AxisSource + ?Sized> IrEvaluator<'d, 'q, S> {
@@ -220,12 +201,11 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrEvaluator<'d, 'q, S> {
             memoized,
             memo: HashMap::new(),
             stats: EvalStats::default(),
-            list_limit: usize::MAX,
         }
     }
 
-    /// Work counters accumulated so far (cumulative across calls, exactly
-    /// like the AST evaluators when shared over a batch).
+    /// Work counters accumulated so far (cumulative across calls when one
+    /// evaluator is shared over a batch).
     pub fn stats(&self) -> EvalStats {
         if self.memoized {
             EvalStats {
@@ -280,19 +260,17 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrEvaluator<'d, 'q, S> {
             OpKind::Intersect(a, b) => {
                 let left = self.eval(*a, ctx)?.into_nodes()?;
                 let right = self.eval(*b, ctx)?.into_nodes()?;
-                Ok(Value::NodeSet(crate::dp::set_intersect(left, &right)))
+                Ok(Value::NodeSet(sets::set_intersect(left, &right)))
             }
             OpKind::Except(a, b) => {
                 let left = self.eval(*a, ctx)?.into_nodes()?;
                 let right = self.eval(*b, ctx)?.into_nodes()?;
-                Ok(Value::NodeSet(crate::dp::set_except(left, &right)))
+                Ok(Value::NodeSet(sets::set_except(left, &right)))
             }
             OpKind::NodeCompare { op, left, right } => {
                 let l = self.eval(*left, ctx)?.into_nodes()?;
                 let r = self.eval(*right, ctx)?.into_nodes()?;
-                Ok(Value::Boolean(crate::dp::node_compare(
-                    *op, self.doc, &l, &r,
-                )))
+                Ok(Value::Boolean(sets::node_compare(*op, self.doc, &l, &r)))
             }
             OpKind::Variable(name) => self.env.variable(name),
             OpKind::Or(a, b) => {
@@ -371,12 +349,6 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrEvaluator<'d, 'q, S> {
             } else {
                 // List semantics: duplicates preserved, watermark recorded.
                 self.stats.max_intermediate_list = self.stats.max_intermediate_list.max(next.len());
-                if next.len() > self.list_limit {
-                    return Err(EvalError::unsupported(format!(
-                        "naive evaluation aborted: intermediate node list exceeded {} entries",
-                        self.list_limit
-                    )));
-                }
             }
             current = next;
         }
@@ -387,8 +359,9 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrEvaluator<'d, 'q, S> {
         }
     }
 
-    /// One location step from one context node — the IR mirror of
-    /// [`crate::steps::apply_step`], with the positional pick already
+    /// One location step from one context node: candidates from the axis
+    /// in document order, each predicate filtering in turn with proximity
+    /// positions re-derived (XPath 1.0 §2.4); the positional pick was
     /// recognized at lowering.
     fn apply_step(
         &mut self,
@@ -434,32 +407,46 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrEvaluator<'d, 'q, S> {
     }
 }
 
-/// Set-at-a-time executor over the IR — the [`crate::CoreXPathEvaluator`]
-/// algorithms (forward images, backwards `sat` through inverse axes) reading
-/// lowered steps.  The bitset primitives are borrowed from the AST machine
-/// (`axis_image`, `test_set`); only the expression walk is replaced.
+/// Set-at-a-time executor for Core XPath (Proposition 2.7, after Gottlob &
+/// Koch's VLDB'02 algorithm): node sets are bitsets over the document,
+/// every location step is one image under the axis relation (O(|D|) per
+/// step, [`sets::axis_image`]), and conditions are evaluated bottom-up as
+/// the set of nodes at which they hold — negation is bitset complement.
+/// Relative paths inside conditions run *backwards* through inverse axes
+/// (`sat`), which is what avoids quadratic behaviour for predicates.
 pub(crate) struct IrLinear<'d, 'q, S: AxisSource + ?Sized = Document> {
-    core: CoreXPathEvaluator<'d, S>,
+    src: &'d S,
     doc: &'d Document,
+    /// Document-order listing of all nodes; borrowed from the prepared
+    /// index when the source has one.
+    order: Cow<'d, [NodeId]>,
     ir: &'q PlanIr,
     n: usize,
     trace: Option<&'q OpTrace>,
+    /// Condition/node-set opcodes evaluated (set-at-a-time, so one per
+    /// opcode per evaluation).
     evaluations: Cell<u64>,
+    /// Location-step applications (one axis image per step, forward or
+    /// inverse, each handling all contexts at once).
     steps_applied: Cell<u64>,
 }
 
 impl<'d, 'q, S: AxisSource + ?Sized> IrLinear<'d, 'q, S> {
-    pub fn new(src: &'d S, ir: &'q PlanIr, trace: Option<&'q OpTrace>) -> Self {
+    /// Fails with the plan's precomputed [`PlanIr::linear_check`] verdict
+    /// when the query is not in Core XPath (Definition 2.5).
+    pub fn new(src: &'d S, ir: &'q PlanIr, trace: Option<&'q OpTrace>) -> Result<Self, EvalError> {
+        ir.linear_check()?;
         let doc = src.document();
-        IrLinear {
-            core: CoreXPathEvaluator::new(src),
+        Ok(IrLinear {
+            src,
             doc,
+            order: src.document_order(),
             ir,
             n: doc.len(),
             trace,
             evaluations: Cell::new(0),
             steps_applied: Cell::new(0),
-        }
+        })
     }
 
     pub fn stats(&self) -> EvalStats {
@@ -470,19 +457,32 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrLinear<'d, 'q, S> {
         }
     }
 
+    /// Evaluates a node-set opcode from a set of context nodes, returning
+    /// the selected nodes in document order.
     pub fn evaluate_from(
         &self,
         root: OpId,
         context_nodes: &[NodeId],
     ) -> Result<Vec<NodeId>, EvalError> {
+        let result = self.evaluate_bits(root, context_nodes)?;
+        let mut nodes: Vec<NodeId> = result.iter_nodes().collect();
+        self.doc.sort_document_order(&mut nodes);
+        Ok(nodes)
+    }
+
+    /// [`IrLinear::evaluate_from`] returning the raw result **bitset**
+    /// instead of a materialized vector — what [`crate::NodeStream`]
+    /// streams from.
+    pub fn evaluate_bits(
+        &self,
+        root: OpId,
+        context_nodes: &[NodeId],
+    ) -> Result<NodeBitSet, EvalError> {
         let mut start = NodeBitSet::empty(self.n);
         for &c in context_nodes {
             start.insert(c);
         }
-        let result = self.eval_nodeset(root, &start)?;
-        let mut nodes: Vec<NodeId> = result.iter_nodes().collect();
-        self.doc.sort_document_order(&mut nodes);
-        Ok(nodes)
+        self.eval_nodeset(root, &start)
     }
 
     fn eval_nodeset(&self, id: OpId, from: &NodeBitSet) -> Result<NodeBitSet, EvalError> {
@@ -559,8 +559,8 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrLinear<'d, 'q, S> {
         from: &NodeBitSet,
     ) -> Result<NodeBitSet, EvalError> {
         self.steps_applied.set(self.steps_applied.get() + 1);
-        let mut image = self.core.axis_image(step.axis, from);
-        image.intersect_with(&self.core.test_set(&step.test, step.axis));
+        let mut image = sets::axis_image(self.src, &self.order, step.axis, from);
+        image.intersect_with(&sets::test_set(self.src, &step.test, step.axis));
         for &pred in self.ir.step_preds(step) {
             image.intersect_with(&self.sat(pred)?);
         }
@@ -606,18 +606,29 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrLinear<'d, 'q, S> {
         }
     }
 
+    /// `sat(π)` for a location path condition: the set of context nodes from
+    /// which the path selects at least one node.  Computed right-to-left
+    /// through inverse axes in O(|D| · #steps).
     fn sat_path(&self, absolute: bool, range: (u32, u32)) -> Result<NodeBitSet, EvalError> {
+        // Nodes from which steps[i..] select something.  The empty suffix is
+        // satisfied everywhere; walk backwards from there.
         let mut suffix_ok = NodeBitSet::full(self.n);
         for step in self.ir.path_steps(range).iter().rev() {
             self.steps_applied.set(self.steps_applied.get() + 1);
-            let mut target = self.core.test_set(&step.test, step.axis);
+            // Nodes that match this step's test and predicates and already
+            // satisfy the remaining suffix...
+            let mut target = sets::test_set(self.src, &step.test, step.axis);
             for &pred in self.ir.step_preds(step) {
                 target.intersect_with(&self.sat(pred)?);
             }
             target.intersect_with(&suffix_ok);
-            suffix_ok = self.core.axis_image(step.axis.inverse(), &target);
+            // ...and the nodes from which such a target is reachable: its
+            // image under the inverse axis.
+            suffix_ok = sets::axis_image(self.src, &self.order, step.axis.inverse(), &target);
         }
         if absolute {
+            // An absolute path does not depend on the context node: it holds
+            // at every node or at none.
             if suffix_ok.contains(self.doc.root()) {
                 Ok(NodeBitSet::full(self.n))
             } else {
@@ -629,11 +640,40 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrLinear<'d, 'q, S> {
     }
 }
 
-/// Deterministic simulation of the Lemma 5.4 NAuxPDA over the IR — the
-/// [`crate::SingletonSuccess`] checker with the Definition 6.1 validation
-/// replaced by the precomputed [`PlanIr::ss_check`] verdict.  The reach memo
-/// keys on the *arena index* of a step (globally unique per lowered path),
-/// which replaces the AST version's pointer-identity keys.
+/// The candidate result value of a Singleton-Success instance
+/// (Definition 5.3: a single node for node-set queries, `true` for boolean
+/// queries, or a number/string).
+#[derive(Clone, Debug, PartialEq)]
+pub enum SuccessTarget {
+    /// Is this node a member of the query's node-set result?
+    Node(NodeId),
+    /// Does the boolean query evaluate to true?
+    True,
+    /// Does the number query evaluate to this number?
+    Number(f64),
+    /// Does the string query evaluate to this string?
+    Str(String),
+}
+
+/// Deterministic simulation of the Lemma 5.4 NAuxPDA.
+///
+/// The paper proves pWF (and pXPath) evaluation is in LOGCFL by exhibiting
+/// an NAuxPDA that decides **Singleton-Success** (Definition 5.3): given a
+/// document, a query, a context triple and a candidate value `v`, does the
+/// query evaluate to `v` (for node-set queries: to a set containing the
+/// node `v`)?  The machine traverses the query, *guesses* a context and
+/// result at every node and verifies the guesses against the local
+/// consistency conditions of Table 1 — **without ever materializing a node
+/// set**.  Here the guesses become exhaustive search with memoization, and
+/// every row of Table 1 is one arm of the checker: `selects`/`can_reach`
+/// for the location-path rows, `eval_boolean`/`eval_scalar` for the
+/// operator rows.  The bounded-negation extension of Theorems 5.9/6.3 is
+/// included: `not(π)` is decided by a loop over the document verifying that
+/// no node is selected.
+///
+/// Admission (Definition 6.1) is the plan's precomputed
+/// [`PlanIr::ss_check`] verdict.  The reach memo keys on the *arena index*
+/// of a step, which is globally unique per lowered path.
 pub(crate) struct IrSingletonSuccess<'d, 'q, S: AxisSource + ?Sized = Document> {
     src: &'d S,
     doc: &'d Document,
@@ -671,6 +711,34 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrSingletonSuccess<'d, 'q, S> {
         }
     }
 
+    /// Decides the Singleton-Success instance `(D, Q, ctx, target)` for the
+    /// plan root.
+    pub fn decide(&self, ctx: Context, target: &SuccessTarget) -> Result<bool, EvalError> {
+        let root = self.ir.root();
+        match target {
+            SuccessTarget::Node(v) => self.selects(root, ctx, *v),
+            SuccessTarget::True => self.eval_boolean(root, ctx),
+            SuccessTarget::Number(n) => {
+                let got = self.eval_scalar(root, ctx)?.to_number(self.doc);
+                Ok(got == *n || (got.is_nan() && n.is_nan()))
+            }
+            SuccessTarget::Str(s) => {
+                let got = self.eval_scalar(root, ctx)?.to_xpath_string(self.doc);
+                Ok(&got == s)
+            }
+        }
+    }
+
+    /// Evaluates the plan root in `ctx`, routed by its static type.
+    pub fn evaluate(&self, ctx: Context) -> Result<Value, EvalError> {
+        let root = self.ir.root();
+        Ok(match self.ir.op(root).ty {
+            ExprType::NodeSet => Value::NodeSet(self.node_set(ctx)?),
+            ExprType::Boolean => Value::Boolean(self.eval_boolean(root, ctx)?),
+            _ => self.eval_scalar(root, ctx)?,
+        })
+    }
+
     /// Recovers the node-set result by deciding membership once per
     /// candidate (Theorem 5.5), pruned by the plan's final-step tests when
     /// the source has a tag index.
@@ -698,7 +766,8 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrSingletonSuccess<'d, 'q, S> {
     }
 
     /// Membership test "node `target` is selected by opcode `id` from
-    /// context `ctx`".
+    /// context `ctx`" — the `χ::t`, `/π`, `π1/π2` and `π1|π2` rows of
+    /// Table 1, plus the derived set-operator rows.
     pub fn selects(&self, id: OpId, ctx: Context, target: NodeId) -> Result<bool, EvalError> {
         let Some(trace) = self.env.trace else {
             return self.selects_inner(id, ctx, target);
@@ -737,6 +806,11 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrSingletonSuccess<'d, 'q, S> {
         }
     }
 
+    /// Row "π1/π2" of Table 1, iterated: can `target` be reached from `from`
+    /// through steps `k..`?  The intermediate node (the paper's guessed
+    /// `n2 = r1`) is searched exhaustively with memoization.  Per row
+    /// "χ::t[e]" the candidate set of a step is only *iterated*, never
+    /// stored, mirroring the log-space argument.
     fn can_reach(
         &self,
         range: (u32, u32),
@@ -790,6 +864,8 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrSingletonSuccess<'d, 'q, S> {
         Ok(predicate_holds(&v, ctx.position))
     }
 
+    /// Existential semantics of a location path in condition position
+    /// (footnote 3 of the paper): at least one node must match.
     fn exists(&self, id: OpId, ctx: Context) -> Result<bool, EvalError> {
         for v in self.doc.all_nodes() {
             if self.selects(id, ctx, v)? {
@@ -799,6 +875,8 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrSingletonSuccess<'d, 'q, S> {
         Ok(false)
     }
 
+    /// First selected node in document order, found by iteration rather
+    /// than materialization (a node-set operand coerced to a string).
     fn first_selected(&self, id: OpId, ctx: Context) -> Result<Option<NodeId>, EvalError> {
         let mut best: Option<NodeId> = None;
         for v in self.doc.all_nodes() {
@@ -812,6 +890,8 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrSingletonSuccess<'d, 'q, S> {
         Ok(best)
     }
 
+    /// The `boolean(π)`, `e1 and e2`, `e1 or e2` and `e1 RelOp e2` rows,
+    /// plus the bounded-negation extension of Theorem 5.9.
     pub fn eval_boolean(&self, id: OpId, ctx: Context) -> Result<bool, EvalError> {
         let Some(trace) = self.env.trace else {
             return self.eval_boolean_inner(id, ctx);
@@ -848,6 +928,8 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrSingletonSuccess<'d, 'q, S> {
         Ok(out)
     }
 
+    /// `e1 RelOp e2` with existential semantics over node-set operands (the
+    /// general `F[[Op]]` principle of Theorem 6.2).
     fn relational(
         &self,
         op: xpeval_syntax::RelOp,
@@ -888,6 +970,8 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrSingletonSuccess<'d, 'q, S> {
         Ok(op.apply(self.doc.pre(l), self.doc.pre(r)))
     }
 
+    /// The atomic values an operand of a comparison contributes: a scalar
+    /// itself, a node-set operand the string value of every selected node.
     fn atomic_values(&self, id: OpId, ctx: Context) -> Result<Vec<Value>, EvalError> {
         if self.ir.op(id).kind.is_nodeset() {
             let mut out = Vec::new();
@@ -902,6 +986,8 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrSingletonSuccess<'d, 'q, S> {
         }
     }
 
+    /// Scalar (number / string / boolean) evaluation — the leaf rows
+    /// `position()`, `last()`, constants, and the `ArithOp` row of Table 1.
     pub fn eval_scalar(&self, id: OpId, ctx: Context) -> Result<Value, EvalError> {
         match &self.ir.op(id).kind {
             OpKind::Number(n) => Ok(Value::Number(*n)),
@@ -961,10 +1047,11 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrSingletonSuccess<'d, 'q, S> {
     }
 }
 
-/// The IR form of [`crate::steps::result_candidates`]: the candidate
-/// universe bounded by the plan's final-step tests, preferring the
-/// pre-interned global tag id over the string lookup when the source
-/// answers it.
+/// Every node the plan could possibly select, in document order: the
+/// candidate universe bounded by the plan's final-step tests
+/// ([`PlanIr::final_step_tests`]), preferring the pre-interned global tag
+/// id over the string lookup when the source answers it.  `None` when the
+/// result is not name-bounded or the source has no tag index.
 fn ir_result_candidates<S: AxisSource + ?Sized>(ir: &PlanIr, src: &S) -> Option<Vec<NodeId>> {
     let tests = ir.final_step_tests()?;
     let mut out = Vec::new();
@@ -983,10 +1070,13 @@ fn ir_result_candidates<S: AxisSource + ?Sized>(ir: &PlanIr, src: &S) -> Option<
     Some(out)
 }
 
-/// The Theorem 5.5 loop over the IR — [`crate::ParallelEvaluator`] with
-/// per-worker [`IrSingletonSuccess`] checkers.  Constructing a worker is
-/// nearly free: the Definition 6.1 validation is the plan's precomputed
-/// verdict instead of a fresh AST walk per thread.
+/// Data-parallel evaluation of the LOGCFL fragments (Remark 5.6: LOGCFL ⊆
+/// NC²).  The Theorem 5.5 membership proof already exhibits the
+/// decomposition — one independent Singleton-Success decision per candidate
+/// node — so the candidates are chunked over worker threads, each with its
+/// own [`IrSingletonSuccess`] checker.  Constructing a worker is nearly
+/// free: the Definition 6.1 validation is the plan's precomputed verdict.
+/// Scalar queries are a single decision and run on the calling thread.
 pub(crate) fn parallel_ir<S: AxisSource + ?Sized>(
     src: &S,
     ir: &PlanIr,
@@ -995,22 +1085,13 @@ pub(crate) fn parallel_ir<S: AxisSource + ?Sized>(
     env: EvalEnv<'_>,
 ) -> Result<(Value, EvalStats), EvalError> {
     let checker = IrSingletonSuccess::new(src, ir, env)?;
-    let root = ir.root();
-    match ir.op(root).ty {
-        ExprType::NodeSet => {
-            drop(checker);
-            let (nodes, stats) = parallel_node_set(src, ir, threads, ctx, env)?;
-            Ok((Value::NodeSet(nodes), stats))
-        }
-        ExprType::Boolean => {
-            let value = Value::Boolean(checker.eval_boolean(root, ctx)?);
-            Ok((value, checker.stats()))
-        }
-        ExprType::Number | ExprType::Str => {
-            let value = checker.eval_scalar(root, ctx)?;
-            Ok((value, checker.stats()))
-        }
+    if ir.op(ir.root()).ty != ExprType::NodeSet {
+        let value = checker.evaluate(ctx)?;
+        return Ok((value, checker.stats()));
     }
+    drop(checker);
+    let (nodes, stats) = parallel_node_set(src, ir, threads, ctx, env)?;
+    Ok((Value::NodeSet(nodes), stats))
 }
 
 fn parallel_node_set<S: AxisSource + ?Sized>(
@@ -1069,11 +1150,11 @@ fn parallel_node_set<S: AxisSource + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::execute;
     use crate::ir::PlanIr;
+    use crate::reference::ReferenceEvaluator;
     use std::sync::Arc;
     use xpeval_dom::{parse_xml, PreparedDocument};
-    use xpeval_syntax::{classify, parse_query};
+    use xpeval_syntax::{classify, parse_query, Expr};
 
     const BOOKS: &str = r#"<lib><book year="2001"><title>A</title></book><book year="2003"><title>B</title><cite/></book><paper year="2003"><title>C</title></paper></lib>"#;
     const TREE: &str =
@@ -1124,56 +1205,109 @@ mod tests {
         (expr, ir)
     }
 
-    /// Every strategy produces the same value (or rejects with the same
-    /// error variant) through the IR funnel as through the AST funnel, on
-    /// both a plain and a prepared document.
+    fn run<S: AxisSource + ?Sized>(
+        strategy: EvalStrategy,
+        src: &S,
+        ir: &PlanIr,
+    ) -> Result<Value, EvalError> {
+        let ctx = Context::root(src.document());
+        execute_ir(strategy, src, ir, ctx, EvalEnv::base()).map(|(value, _)| value)
+    }
+
+    /// The differential test of the plan machines: every strategy, on a
+    /// plain and on a prepared document, either computes exactly the value
+    /// the AST-level reference evaluator computes or rejects the query — and
+    /// it rejects precisely when the plan's precomputed admission verdict
+    /// says so, identically on both sources.
     #[test]
-    fn ir_agrees_with_ast_across_strategies_and_sources() {
+    fn every_strategy_agrees_with_the_reference_on_both_sources() {
         for xml in [BOOKS, TREE] {
             let doc = parse_xml(xml).unwrap();
             let prepared = PreparedDocument::new(doc.clone());
-            let ctx = Context::root(&doc);
             for q in QUERIES {
                 let (expr, ir) = lower(q);
+                let expected = ReferenceEvaluator::new(&doc).evaluate(&expr).unwrap();
                 for strategy in STRATEGIES {
-                    let ast = execute(strategy, &doc, &expr, ctx);
-                    let via_ir = execute_ir(strategy, &doc, &expr, &ir, ctx, EvalEnv::base());
-                    match (&ast, &via_ir) {
-                        (Ok((a, _)), Ok((b, _))) => {
-                            assert_eq!(a, b, "{q} via {strategy:?} on Document")
+                    let admitted = match strategy {
+                        EvalStrategy::ContextValueTable | EvalStrategy::Naive => true,
+                        EvalStrategy::CoreXPathLinear => {
+                            ir.linear_check().is_ok() && ir.op(ir.root()).kind.is_nodeset()
                         }
-                        (Err(ea), Err(eb)) => assert_eq!(
-                            std::mem::discriminant(ea),
-                            std::mem::discriminant(eb),
-                            "{q} via {strategy:?}: {ea:?} vs {eb:?}"
-                        ),
-                        other => panic!("{q} via {strategy:?}: {other:?}"),
-                    }
-                    let ast_p = execute(strategy, &prepared, &expr, ctx);
-                    let ir_p = execute_ir(strategy, &prepared, &expr, &ir, ctx, EvalEnv::base());
-                    match (&ast_p, &ir_p) {
-                        (Ok((a, _)), Ok((b, _))) => {
-                            assert_eq!(a, b, "{q} via {strategy:?} on Prepared")
+                        EvalStrategy::Parallel { .. } | EvalStrategy::SingletonSuccess => {
+                            ir.ss_check().is_ok()
                         }
-                        (Err(ea), Err(eb)) => assert_eq!(
-                            std::mem::discriminant(ea),
-                            std::mem::discriminant(eb),
-                            "{q} via {strategy:?} prepared: {ea:?} vs {eb:?}"
-                        ),
-                        other => panic!("{q} via {strategy:?} prepared: {other:?}"),
-                    }
-                    // IR evaluation is source-agnostic: plain and prepared
-                    // answers agree with each other too.
-                    if let (Ok((a, _)), Ok((b, _))) = (&via_ir, &ir_p) {
-                        assert_eq!(a, b, "{q} via {strategy:?}: Document vs Prepared");
+                    };
+                    let plain = run(strategy, &doc, &ir);
+                    let fast = run(strategy, &prepared, &ir);
+                    if admitted {
+                        assert_eq!(plain.as_ref(), Ok(&expected), "{q} via {strategy:?}");
+                        assert_eq!(
+                            fast.as_ref(),
+                            Ok(&expected),
+                            "{q} prepared via {strategy:?}"
+                        );
+                    } else {
+                        let err = plain.expect_err(q);
+                        assert!(
+                            matches!(err, EvalError::UnsupportedFragment { .. }),
+                            "{q} via {strategy:?}: {err:?}"
+                        );
+                        assert_eq!(fast, Err(err), "{q} prepared via {strategy:?}");
                     }
                 }
             }
         }
     }
 
+    /// The rejection texts, word for word: they are rendered from the plan
+    /// alone (precomputed verdicts and [`PlanIr::display_op`]).
     #[test]
-    fn memoized_mode_shares_tables_like_dp() {
+    fn rejections_are_rendered_from_the_plan() {
+        let doc = parse_xml(BOOKS).unwrap();
+        let message = |strategy, q: &str| run(strategy, &doc, &lower(q).1).unwrap_err().to_string();
+        assert_eq!(
+            message(EvalStrategy::CoreXPathLinear, "//book[position() = 2]"),
+            "this evaluator supports only the Core XPath fragment; query uses a pWF construct"
+        );
+        // A scalar root inside Core XPath passes the fragment check; the
+        // linear machine itself refuses it.
+        assert_eq!(
+            message(EvalStrategy::CoreXPathLinear, "not(//nosuch)"),
+            "this evaluator supports only the Core XPath fragment; query uses non-path \
+             expression not(/descendant::nosuch) in node-set position"
+        );
+        assert_eq!(
+            message(EvalStrategy::CoreXPathLinear, "//book[child::cite = 'x']"),
+            "this evaluator supports only the Core XPath fragment; query uses a pXPath construct"
+        );
+        for strategy in [
+            EvalStrategy::SingletonSuccess,
+            EvalStrategy::Parallel { threads: 2 },
+        ] {
+            assert_eq!(
+                message(strategy, "count(//book)"),
+                "this evaluator supports only the pXPath fragment; query uses the count() \
+                 function (Definition 6.1(2))"
+            );
+            assert_eq!(
+                message(strategy, "//book[child::cite][position() = 1]"),
+                "this evaluator supports only the pXPath fragment; query uses iterated \
+                 predicates [e1][e2] (Definition 6.1(1))"
+            );
+            assert_eq!(
+                message(strategy, "//book[(child::cite and child::title) = true()]"),
+                "this evaluator supports only the pXPath fragment; query uses a relational \
+                 comparison with a boolean operand (Definition 6.1(3))"
+            );
+            assert_eq!(
+                message(strategy, "frobnicate(1)"),
+                "unknown function 'frobnicate()'"
+            );
+        }
+    }
+
+    #[test]
+    fn memoized_mode_shares_context_value_tables() {
         let xml = "<r><a><b/></a><a><b/></a><a><b/></a></r>";
         let doc = parse_xml(xml).unwrap();
         let (_, ir) = lower("//b/ancestor::*[child::b]");
@@ -1185,7 +1319,7 @@ mod tests {
     }
 
     #[test]
-    fn eager_mode_reports_list_growth_like_naive() {
+    fn eager_mode_reports_list_growth() {
         let doc = parse_xml("<a><b/><b/><b/></a>").unwrap();
         let (_, ir) = lower("//a/b/parent::a/b/parent::a/b");
         let mut ev = IrEvaluator::eager(&doc, &ir, EvalEnv::base());
@@ -1204,16 +1338,19 @@ mod tests {
 
     #[test]
     fn fused_plans_evaluate_identically() {
-        // `//a/b` fuses to descendant::a/descendant::b; all strategies must
-        // agree with the unfused AST on list- and set-semantics alike.
+        // `//a//b` fuses to descendant::a/descendant::b; all strategies must
+        // agree with the reference on the unfused AST, on list- and
+        // set-semantics alike.
         let doc = parse_xml(TREE).unwrap();
-        let ctx = Context::root(&doc);
         let (expr, ir) = lower("//a//b");
         assert_eq!(ir.fused_steps(), 2);
+        let expected = ReferenceEvaluator::new(&doc).evaluate(&expr).unwrap();
         for strategy in STRATEGIES {
-            let (ast, _) = execute(strategy, &doc, &expr, ctx).unwrap();
-            let (via_ir, _) = execute_ir(strategy, &doc, &expr, &ir, ctx, EvalEnv::base()).unwrap();
-            assert_eq!(ast, via_ir, "{strategy:?}");
+            assert_eq!(
+                run(strategy, &doc, &ir),
+                Ok(expected.clone()),
+                "{strategy:?}"
+            );
         }
     }
 
@@ -1227,41 +1364,6 @@ mod tests {
         let nodes = v.expect_nodes();
         assert_eq!(nodes.len(), 1);
         assert_eq!(doc.string_value(nodes[0]), "B");
-    }
-
-    #[test]
-    fn linear_rejections_survive_precomputation() {
-        let doc = parse_xml(BOOKS).unwrap();
-        let ctx = Context::root(&doc);
-        let (expr, ir) = lower("//book[position() = 2]");
-        let err = execute_ir(
-            EvalStrategy::CoreXPathLinear,
-            &doc,
-            &expr,
-            &ir,
-            ctx,
-            EvalEnv::base(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, EvalError::UnsupportedFragment { .. }));
-        // Identical message to the AST rejection.
-        let ast_err = execute(EvalStrategy::CoreXPathLinear, &doc, &expr, ctx).unwrap_err();
-        assert_eq!(err, ast_err);
-    }
-
-    #[test]
-    fn ss_rejections_survive_precomputation() {
-        let doc = parse_xml(BOOKS).unwrap();
-        let ctx = Context::root(&doc);
-        let (expr, ir) = lower("count(//book)");
-        for strategy in [
-            EvalStrategy::SingletonSuccess,
-            EvalStrategy::Parallel { threads: 2 },
-        ] {
-            let err = execute_ir(strategy, &doc, &expr, &ir, ctx, EvalEnv::base()).unwrap_err();
-            let ast_err = execute(strategy, &doc, &expr, ctx).unwrap_err();
-            assert_eq!(err, ast_err, "{strategy:?}");
-        }
     }
 
     #[test]
@@ -1288,21 +1390,13 @@ mod tests {
         let report = classify(&expr);
         let ir = PlanIr::lower_with_registry(&expr, &report, &registry);
         for strategy in [EvalStrategy::ContextValueTable, EvalStrategy::Naive] {
-            let (v, _) = execute_ir(strategy, &doc, &expr, &ir, ctx, env).unwrap();
+            let (v, _) = execute_ir(strategy, &doc, &ir, ctx, env).unwrap();
             let nodes = v.expect_nodes();
             assert_eq!(nodes.len(), 1, "{strategy:?}");
             assert_eq!(doc.string_value(nodes[0]), "B", "{strategy:?}");
         }
         // ...and are an error under the empty environment.
-        let err = execute_ir(
-            EvalStrategy::ContextValueTable,
-            &doc,
-            &expr,
-            &ir,
-            ctx,
-            EvalEnv::base(),
-        )
-        .unwrap_err();
+        let err = run(EvalStrategy::ContextValueTable, &doc, &ir).unwrap_err();
         assert!(matches!(err, EvalError::UnboundVariable { .. }), "{err:?}");
 
         // A core-safe registered function runs on every admitted machine,
@@ -1316,21 +1410,13 @@ mod tests {
             EvalStrategy::SingletonSuccess,
             EvalStrategy::Parallel { threads: 2 },
         ] {
-            let (v, _) = execute_ir(strategy, &doc, &expr, &ir, ctx, env).unwrap();
+            let (v, _) = execute_ir(strategy, &doc, &ir, ctx, env).unwrap();
             let nodes = v.expect_nodes();
             assert_eq!(nodes.len(), 1, "{strategy:?}");
             assert_eq!(doc.string_value(nodes[0]), "B", "{strategy:?}");
         }
         // Without the registration the same plan reports the call unknown.
-        let err = execute_ir(
-            EvalStrategy::ContextValueTable,
-            &doc,
-            &expr,
-            &ir,
-            ctx,
-            EvalEnv::base(),
-        )
-        .unwrap_err();
+        let err = run(EvalStrategy::ContextValueTable, &doc, &ir).unwrap_err();
         assert!(matches!(err, EvalError::UnknownFunction { .. }), "{err:?}");
     }
 }

@@ -1,10 +1,8 @@
 //! The flat plan IR every compiled query lowers into.
 //!
-//! [`crate::CompiledQuery`] used to hand the normalized AST to whichever
-//! evaluator the plan selected; every strategy then re-walked `Box`-linked
-//! expression nodes, re-recognized positional predicates, re-validated its
-//! fragment and re-hashed name-test strings per step.  [`PlanIr`] does all
-//! of that once, at compile time:
+//! Lowering does once, at compile time, what an AST interpreter would redo
+//! per evaluation — chase `Box`-linked expression nodes, recognize
+//! positional predicates, validate the fragment, hash name-test strings:
 //!
 //! * the expression tree is flattened into an arena of [`OpIr`] opcodes
 //!   addressed by dense [`OpId`]s (children before parents, the root last),
@@ -33,9 +31,11 @@
 //! The executors live in [`crate::exec`].
 
 use crate::error::EvalError;
-use crate::registry::FunctionRegistry;
+use crate::functions::is_supported;
+use crate::registry::{FragmentImpact, FunctionRegistry};
 use std::sync::Arc;
 use xpeval_dom::{Axis, NodeTest, PositionalPick};
+use xpeval_syntax::ast::ExprType;
 use xpeval_syntax::{
     classify, ArithOp, Expr, Fragment, FragmentReport, LocationPath, NodeCompOp, RelOp, Step,
 };
@@ -91,7 +91,7 @@ pub struct OpIr {
     /// classification does not stop at the query root.
     pub fragment: Fragment,
     /// Static XPath 1.0 type.
-    pub ty: xpeval_syntax::ast::ExprType,
+    pub ty: ExprType,
     /// Does the value, for a fixed context node, depend on the context
     /// position/size?  Decides the context-value-table key width
     /// ([`crate::context::ContextKey`]).
@@ -151,8 +151,8 @@ pub enum OpKind {
 
 impl OpKind {
     /// Syntactically node-set typed (a path or a set operator over paths) —
-    /// the routing test of the Singleton-Success rows, mirroring the AST
-    /// checker.
+    /// what routes an operand between the node-set rows and the scalar rows
+    /// of Table 1 in the Singleton-Success machine.
     pub fn is_nodeset(&self) -> bool {
         matches!(
             self,
@@ -213,7 +213,7 @@ impl PlanIr {
         } else {
             Ok(())
         };
-        let ss_check = crate::success::validate_expr_with(expr, registry);
+        let ss_check = validate_singleton_success(expr, registry);
         Arc::new(PlanIr {
             ops: lowering.ops,
             steps: lowering.steps,
@@ -434,7 +434,7 @@ impl<'r> Lowering<'r> {
         // registry's declared return type wins for them so that result
         // routing matches what the handler produces.
         let ty = match expr {
-            Expr::FunctionCall { name, .. } if !crate::functions::is_supported(name) => self
+            Expr::FunctionCall { name, .. } if !is_supported(name) => self
                 .registry
                 .lookup(name)
                 .map(|f| f.signature.return_type())
@@ -445,7 +445,7 @@ impl<'r> Lowering<'r> {
             kind,
             fragment: classify(expr).fragment,
             ty,
-            sensitive: crate::dp::sensitivity(expr),
+            sensitive: sensitivity(expr),
         });
         id
     }
@@ -572,6 +572,134 @@ impl<'r> Lowering<'r> {
             selectivity,
             fused: fused_axis.is_some(),
         }
+    }
+}
+
+/// Position-sensitivity of a subexpression: does its value, for a fixed
+/// context node, depend on the context position or size?  Location paths are
+/// insensitive (their predicates receive fresh positions); scalar
+/// expressions are sensitive iff they mention `position()`/`last()` outside
+/// of any nested path.  This is what keeps the context-value tables small:
+/// an insensitive opcode is keyed by node alone (the optimization behind the
+/// improved bounds of the ICDE'03 follow-up paper).
+fn sensitivity(expr: &Expr) -> bool {
+    match expr {
+        Expr::FunctionCall { name, args } => {
+            name == "position" || name == "last" || args.iter().any(sensitivity)
+        }
+        Expr::Path(_) | Expr::Union(_, _) | Expr::Intersect(_, _) | Expr::Except(_, _) => false,
+        // Node comparisons compare nodes of their operand *paths*, which
+        // receive fresh positions — the value cannot depend on the outer
+        // context position.
+        Expr::NodeCompare { .. } => false,
+        Expr::Variable(_) => false,
+        Expr::Or(a, b)
+        | Expr::And(a, b)
+        | Expr::Relational {
+            left: a, right: b, ..
+        }
+        | Expr::Arithmetic {
+            left: a, right: b, ..
+        } => sensitivity(a) || sensitivity(b),
+        Expr::Not(e) | Expr::Neg(e) => sensitivity(e),
+        Expr::Number(_) | Expr::Literal(_) => false,
+    }
+}
+
+/// Functions the paper's Definition 6.1 removes from pXPath; queries using
+/// them are rejected by the Singleton-Success machines.
+const FORBIDDEN_FUNCTIONS: &[&str] = &[
+    "count",
+    "sum",
+    "string",
+    "number",
+    "local-name",
+    "namespace-uri",
+    "name",
+    "string-length",
+    "normalize-space",
+];
+
+/// Registry-aware static type of a relational operand: a registered
+/// function's declared return type is authoritative; the AST guess covers
+/// everything else (including unknown names, which a later visit rejects
+/// with the more precise [`EvalError::UnknownFunction`]).
+fn operand_type(e: &Expr, registry: &FunctionRegistry) -> ExprType {
+    if let Expr::FunctionCall { name, .. } = e {
+        if !is_supported(name) {
+            if let Some(f) = registry.lookup(name) {
+                return f.signature.return_type();
+            }
+        }
+    }
+    e.expr_type()
+}
+
+/// Validates that a query lies in the fragment the NAuxPDA of Lemma 5.4 /
+/// Theorem 6.2 handles — the [`PlanIr::ss_check`] verdict: single predicates
+/// (no iterated predicate sequences), no forbidden functions, no relational
+/// comparison with a boolean operand.  Negation is allowed (Theorems
+/// 5.9/6.3: bounded negation stays in LOGCFL).  Calls to registered
+/// functions declaring [`FragmentImpact::CoreSafe`] are admitted alongside
+/// the built-ins; `General`-impact registrations are rejected (the whole
+/// query has already been degraded to full XPath, which these machines do
+/// not cover).
+fn validate_singleton_success(query: &Expr, registry: &FunctionRegistry) -> Result<(), EvalError> {
+    let mut error: Option<EvalError> = None;
+    query.visit(&mut |e| {
+        if error.is_some() {
+            return;
+        }
+        match e {
+            Expr::Path(p) => {
+                for step in &p.steps {
+                    if step.predicates.len() >= 2 {
+                        error = Some(EvalError::fragment(
+                            Fragment::PXPath,
+                            "iterated predicates [e1][e2] (Definition 6.1(1))",
+                        ));
+                    }
+                }
+            }
+            Expr::Relational { left, right, .. } => {
+                let boolean_operand = matches!(operand_type(left, registry), ExprType::Boolean)
+                    || matches!(operand_type(right, registry), ExprType::Boolean);
+                if boolean_operand {
+                    error = Some(EvalError::fragment(
+                        Fragment::PXPath,
+                        "a relational comparison with a boolean operand (Definition 6.1(3))",
+                    ));
+                }
+            }
+            Expr::FunctionCall { name, .. } => {
+                if FORBIDDEN_FUNCTIONS.contains(&name.as_str()) {
+                    error = Some(EvalError::fragment(
+                        Fragment::PXPath,
+                        format!("the {name}() function (Definition 6.1(2))"),
+                    ));
+                } else if !is_supported(name) {
+                    match registry.lookup(name).map(|f| f.signature.fragment_impact()) {
+                        Some(FragmentImpact::CoreSafe) => {}
+                        Some(FragmentImpact::General) => {
+                            error = Some(EvalError::fragment(
+                                Fragment::PXPath,
+                                format!(
+                                    "the registered function {name}() (declared general impact)"
+                                ),
+                            ));
+                        }
+                        None => {
+                            error = Some(EvalError::UnknownFunction { name: name.clone() });
+                        }
+                    }
+                }
+            }
+            _ => {}
+        }
+    });
+    match error {
+        Some(e) => Err(e),
+        None => Ok(()),
     }
 }
 
@@ -837,7 +965,6 @@ mod tests {
     #[test]
     fn registered_return_types_override_the_ast_guess() {
         use crate::registry::{FragmentImpact, FunctionSignature};
-        use xpeval_syntax::ast::ExprType;
         let mut registry = FunctionRegistry::new();
         registry.register(
             FunctionSignature::new("double", 1, Some(1))
@@ -858,7 +985,26 @@ mod tests {
         // With the registration, the SS machines admit the call...
         assert!(ir.ss_check().is_ok());
         // ...without it, they reject it as unknown.
-        assert!(PlanIr::lower(&expr, &report).ss_check().is_err());
+        assert!(matches!(
+            PlanIr::lower(&expr, &report).ss_check(),
+            Err(EvalError::UnknownFunction { .. })
+        ));
+    }
+
+    #[test]
+    fn general_impact_registrations_are_not_admitted_to_singleton_success() {
+        use crate::registry::FunctionSignature;
+        // Known, but declared without a complexity claim: outside pXPath.
+        let mut registry = FunctionRegistry::new();
+        registry.register(FunctionSignature::new("double", 1, Some(1)), |_, _, _| {
+            Ok(crate::value::Value::Str(String::new()))
+        });
+        let expr = parse_query("//a[double(@x) = 4]").unwrap();
+        let ir = PlanIr::lower_with_registry(&expr, &classify(&expr), &registry);
+        assert!(matches!(
+            ir.ss_check(),
+            Err(EvalError::UnsupportedFragment { .. })
+        ));
     }
 
     #[test]

@@ -2,15 +2,24 @@
 //!
 //! This crate implements the evaluation algorithms studied in
 //! *"The Complexity of XPath Query Evaluation"* (Gottlob, Koch, Pichler;
-//! PODS 2003) together with the baselines they are compared against:
+//! PODS 2003).  A query is parsed, lowered once to the flat [`PlanIr`]
+//! ([`ir`]) and run by one of the plan interpreters in [`exec`] — one per
+//! result of the paper, selected by [`EvalStrategy`]:
 //!
-//! | Module | Algorithm | Paper reference |
+//! | [`EvalStrategy`] | Algorithm | Paper reference |
 //! |---|---|---|
-//! | [`dp`] | Context-value-table dynamic programming (polynomial combined complexity) | Proposition 2.7, Theorem 7.2 |
-//! | [`naive`] | Direct per-context re-evaluation (exponential in the query, as in contemporary engines) | Section 1 |
-//! | [`corexpath`] | Set-at-a-time O(&#124;D&#124;·&#124;Q&#124;) evaluation of Core XPath | Proposition 2.7 |
-//! | [`success`] | The Singleton-Success NAuxPDA decision procedure | Definition 5.3, Lemma 5.4, Table 1 |
-//! | [`parallel`] | Data-parallel evaluation of pWF/pXPath via Singleton-Success | Theorems 5.5/6.2, Remark 5.6 |
+//! | `ContextValueTable` | Context-value-table dynamic programming (polynomial combined complexity) | Proposition 2.7, Theorem 7.2 |
+//! | `Naive` | Direct per-context re-evaluation (exponential in the query, as in contemporary engines) | Section 1 |
+//! | `CoreXPathLinear` | Set-at-a-time O(&#124;D&#124;·&#124;Q&#124;) evaluation of Core XPath | Proposition 2.7 |
+//! | `SingletonSuccess` | The Singleton-Success NAuxPDA decision procedure | Definition 5.3, Lemma 5.4, Table 1 |
+//! | `Parallel` | Data-parallel evaluation of pWF/pXPath via Singleton-Success | Theorems 5.5/6.2, Remark 5.6 |
+//!
+//! | Module | Role |
+//! |---|---|
+//! | [`ir`] | The flat plan: opcode/step arenas, global tag ids, precomputed admission verdicts |
+//! | [`exec`] | The plan interpreters and the single strategy dispatch funnel |
+//! | [`sets`] | [`NodeBitSet`], axis images and set operators the interpreters share |
+//! | [`mod@reference`] | The one AST-level evaluator: the Section 1 exponential baseline, kept as the differential oracle for tests and benches — no request path calls it |
 //!
 //! Shared infrastructure: the XPath value domain ([`value`]), contexts and
 //! context-value-table keys ([`context`]), the core function library
@@ -38,7 +47,7 @@
 //!
 //! [`xpeval_dom::PreparedDocument`] is the document-side mirror of
 //! [`CompiledQuery`]: built once per document, it carries tag-name indexes,
-//! preorder subtree intervals and position tables.  Every evaluator
+//! preorder subtree intervals and position tables.  Every machine
 //! consumes documents through the [`xpeval_dom::AxisSource`] trait, so both
 //! plain and prepared documents work everywhere; [`stream`] adds
 //! [`NodeStream`], the lazy node-set result iterator behind
@@ -48,39 +57,32 @@ pub mod bindings;
 pub mod cache;
 pub mod compile;
 pub mod context;
-pub mod corexpath;
-pub mod dp;
 pub mod engine;
 pub mod error;
 pub mod exec;
 pub mod functions;
 pub mod ir;
-pub mod naive;
-pub mod parallel;
+pub mod reference;
 pub mod registry;
+pub mod sets;
 pub mod stats;
 pub mod steps;
 pub mod stream;
-pub mod success;
 pub mod value;
 
 pub use bindings::Bindings;
 pub use cache::{CacheStats, DocKey, DocumentCache, PlanCache, ShardStats, ShardedPlanCache};
 pub use compile::{
-    default_threads, recommended_strategy, recommended_strategy_for_document,
-    recommended_strategy_for_source, CompileOptions, CompiledQuery, QueryOutput,
+    default_threads, recommended_strategy, CompileOptions, CompiledQuery, QueryOutput,
     PARALLEL_MIN_CANDIDATES, PARALLEL_MIN_NODES,
 };
 pub use context::{Context, ContextKey};
-pub use corexpath::{CoreXPathEvaluator, NodeBitSet};
-pub use dp::{DpEvaluator, DpStats};
 pub use engine::{Engine, EngineBuilder, EvalStrategy};
 pub use error::EvalError;
+pub use exec::SuccessTarget;
 pub use ir::{OpId, OpIr, OpKind, PlanIr, StepIr, StepSelectivity};
-pub use naive::{NaiveEvaluator, NaiveStats};
-pub use parallel::ParallelEvaluator;
 pub use registry::{FragmentImpact, FunctionHandler, FunctionRegistry, FunctionSignature};
+pub use sets::NodeBitSet;
 pub use stats::EvalStats;
 pub use stream::{NodeStream, StreamMode};
-pub use success::{SingletonSuccess, SuccessTarget};
 pub use value::Value;

@@ -1,4 +1,4 @@
-//! The naive re-evaluation baseline.
+//! The reference evaluator: the one AST-level interpreter left.
 //!
 //! Section 1 of the paper observes that, at the time of writing, "all
 //! publicly available XPath engines [...] take time exponential in the sizes
@@ -8,14 +8,21 @@
 //! without sharing work between duplicate contexts and without collapsing
 //! the list into a set between steps.
 //!
-//! [`NaiveEvaluator`] reproduces exactly this strategy, which makes it the
-//! stand-in for the systems measured in the paper's predecessor [GKP,
-//! VLDB'02]: on query families such as `//a/b/parent::a/b/parent::a/…` its
-//! intermediate lists (and therefore its running time) grow as `k^m` where
-//! `k` is the fan-out of the document and `m` the number of repetitions,
-//! while the context-value-table evaluator of [`crate::DpEvaluator`] stays
-//! polynomial.  The work counters in the unified [`EvalStats`] make this
-//! blow-up observable deterministically in tests and benchmarks.
+//! [`ReferenceEvaluator`] reproduces exactly this strategy on the parsed
+//! [`Expr`], with no lowering, no plan and no index-specific shortcut of its
+//! own.  That makes it two things at once: the stand-in for the systems
+//! measured in the paper's predecessor [GKP, VLDB'02] — on query families
+//! such as `//a/b/parent::a/b/parent::a/…` its intermediate lists (and
+//! therefore its running time) grow as `k^m` where `k` is the fan-out of the
+//! document and `m` the number of repetitions — and the differential oracle
+//! the [`crate::PlanIr`] machines of [`crate::exec`] are tested against.
+//!
+//! Nothing on a request path calls this module: [`crate::CompiledQuery`] and
+//! [`crate::Engine`] run every strategy (including
+//! [`crate::EvalStrategy::Naive`]) over the lowered plan.  Its callers are
+//! tests, benches and the `fig_motivation_exponential` experiment, which
+//! needs [`ReferenceEvaluator::with_list_limit`] to bound the exponential
+//! runs.
 
 use crate::context::Context;
 use crate::error::EvalError;
@@ -26,13 +33,10 @@ use crate::value::Value;
 use xpeval_dom::{AxisSource, Document, NodeId};
 use xpeval_syntax::{Expr, LocationPath};
 
-/// Legacy name for the unified work counters.
-pub type NaiveStats = EvalStats;
-
 /// Direct implementation of the XPath 1.0 functional semantics with
 /// per-occurrence re-evaluation (the strategy of the engines the paper's
 /// introduction criticizes).
-pub struct NaiveEvaluator<'d, S: AxisSource + ?Sized = Document> {
+pub struct ReferenceEvaluator<'d, S: AxisSource + ?Sized = Document> {
     src: &'d S,
     doc: &'d Document,
     stats: EvalStats,
@@ -41,10 +45,10 @@ pub struct NaiveEvaluator<'d, S: AxisSource + ?Sized = Document> {
     pub list_limit: usize,
 }
 
-impl<'d, S: AxisSource + ?Sized> NaiveEvaluator<'d, S> {
-    /// Creates a naive evaluator for the given document.
+impl<'d, S: AxisSource + ?Sized> ReferenceEvaluator<'d, S> {
+    /// Creates a reference evaluator for the given document.
     pub fn new(src: &'d S) -> Self {
-        NaiveEvaluator {
+        ReferenceEvaluator {
             src,
             doc: src.document(),
             stats: EvalStats::default(),
@@ -52,11 +56,11 @@ impl<'d, S: AxisSource + ?Sized> NaiveEvaluator<'d, S> {
         }
     }
 
-    /// Creates a naive evaluator that aborts once an intermediate node list
+    /// Creates a reference evaluator that aborts once an intermediate node list
     /// grows beyond `limit` entries (used by the benchmark harness so that
     /// the exponential runs finish in bounded time).
     pub fn with_list_limit(src: &'d S, limit: usize) -> Self {
-        NaiveEvaluator {
+        ReferenceEvaluator {
             src,
             doc: src.document(),
             stats: EvalStats::default(),
@@ -104,17 +108,17 @@ impl<'d, S: AxisSource + ?Sized> NaiveEvaluator<'d, S> {
             Expr::Intersect(a, b) => {
                 let left = self.eval(a, ctx)?.into_nodes()?;
                 let right = self.eval(b, ctx)?.into_nodes()?;
-                Ok(Value::NodeSet(crate::dp::set_intersect(left, &right)))
+                Ok(Value::NodeSet(crate::sets::set_intersect(left, &right)))
             }
             Expr::Except(a, b) => {
                 let left = self.eval(a, ctx)?.into_nodes()?;
                 let right = self.eval(b, ctx)?.into_nodes()?;
-                Ok(Value::NodeSet(crate::dp::set_except(left, &right)))
+                Ok(Value::NodeSet(crate::sets::set_except(left, &right)))
             }
             Expr::NodeCompare { op, left, right } => {
                 let l = self.eval(left, ctx)?.into_nodes()?;
                 let r = self.eval(right, ctx)?.into_nodes()?;
-                Ok(Value::Boolean(crate::dp::node_compare(
+                Ok(Value::Boolean(crate::sets::node_compare(
                     *op, self.doc, &l, &r,
                 )))
             }
@@ -195,20 +199,28 @@ impl<'d, S: AxisSource + ?Sized> NaiveEvaluator<'d, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dp::DpEvaluator;
+    use crate::{CompiledQuery, EvalStrategy, QueryOutput};
     use xpeval_dom::parse_xml;
     use xpeval_syntax::parse_query;
+
+    /// The context-value-table machine on the same parsed query.
+    fn cvt(doc: &Document, query: &Expr) -> QueryOutput {
+        CompiledQuery::from_expr(query.clone())
+            .with_strategy(EvalStrategy::ContextValueTable)
+            .run(doc)
+            .unwrap()
+    }
 
     fn eval(xml: &str, query: &str) -> Value {
         let doc = parse_xml(xml).unwrap();
         let q = parse_query(query).unwrap();
-        NaiveEvaluator::new(&doc).evaluate(&q).unwrap()
+        ReferenceEvaluator::new(&doc).evaluate(&q).unwrap()
     }
 
     const BOOKS: &str = r#"<lib><book year="2001"><title>A</title></book><book year="2003"><title>B</title><cite/></book><paper year="2003"><title>C</title></paper></lib>"#;
 
     #[test]
-    fn agrees_with_dp_on_standard_queries() {
+    fn agrees_with_the_table_machine_on_standard_queries() {
         let doc = parse_xml(BOOKS).unwrap();
         for q in [
             "/lib/book/title",
@@ -226,9 +238,8 @@ mod tests {
             "//cite is //book/cite",
         ] {
             let query = parse_query(q).unwrap();
-            let naive = NaiveEvaluator::new(&doc).evaluate(&query).unwrap();
-            let dp = DpEvaluator::new(&doc, &query).evaluate().unwrap();
-            assert_eq!(naive, dp, "disagreement on {q}");
+            let naive = ReferenceEvaluator::new(&doc).evaluate(&query).unwrap();
+            assert_eq!(naive, cvt(&doc, &query).value, "disagreement on {q}");
         }
     }
 
@@ -259,19 +270,17 @@ mod tests {
                 q.push_str("/b/parent::a");
             }
             let query = parse_query(&q).unwrap();
-            let mut ev = NaiveEvaluator::new(&doc);
+            let mut ev = ReferenceEvaluator::new(&doc);
             ev.evaluate(&query).unwrap();
             lists.push(ev.stats().max_intermediate_list);
         }
         // max list after r repetitions is k^r (for r = 1 the descendant-or-self
         // expansion of `//` is still the longest list: root + a + k children).
         assert_eq!(lists, vec![5, 9, 27, 81, 243]);
-        // ... which is exactly the exponential behaviour the DP evaluator avoids.
+        // ... which is exactly the exponential behaviour the table machine avoids.
         let query =
             parse_query("//a/b/parent::a/b/parent::a/b/parent::a/b/parent::a/b/parent::a").unwrap();
-        let mut dp = DpEvaluator::new(&doc, &query);
-        dp.evaluate().unwrap();
-        assert!(dp.stats().step_context_evaluations < 100);
+        assert!(cvt(&doc, &query).stats.step_context_evaluations < 100);
     }
 
     #[test]
@@ -280,7 +289,7 @@ mod tests {
         let query =
             parse_query("//a/b/parent::a/b/parent::a/b/parent::a/b/parent::a/b/parent::a/b")
                 .unwrap();
-        let mut ev = NaiveEvaluator::with_list_limit(&doc, 100);
+        let mut ev = ReferenceEvaluator::with_list_limit(&doc, 100);
         let err = ev.evaluate(&query).unwrap_err();
         assert!(matches!(err, EvalError::Unsupported { .. }));
     }
@@ -289,15 +298,14 @@ mod tests {
     fn work_counters_track_re_evaluation() {
         let doc = parse_xml("<a><b/><b/><b/></a>").unwrap();
         let query = parse_query("//a/b/parent::a/b/parent::a/b").unwrap();
-        let mut naive = NaiveEvaluator::new(&doc);
+        let mut naive = ReferenceEvaluator::new(&doc);
         naive.evaluate(&query).unwrap();
-        let mut dp = DpEvaluator::new(&doc, &query);
-        dp.evaluate().unwrap();
+        let table = cvt(&doc, &query).stats;
         assert!(
-            naive.stats().step_context_evaluations > dp.stats().step_context_evaluations,
-            "naive {} vs dp {}",
+            naive.stats().step_context_evaluations > table.step_context_evaluations,
+            "naive {} vs cvt {}",
             naive.stats().step_context_evaluations,
-            dp.stats().step_context_evaluations
+            table.step_context_evaluations
         );
     }
 

@@ -1,11 +1,9 @@
 //! Unified work counters for all evaluation strategies.
 //!
-//! Historically the DP evaluator reported `DpStats` and the naive evaluator
-//! `NaiveStats`; every downstream table had to know which evaluator it was
-//! talking to.  [`EvalStats`] merges both: each strategy fills the counters
-//! that are meaningful for it and leaves the rest at zero, and
-//! [`crate::QueryOutput`] carries one `EvalStats` no matter which strategy
-//! ran.
+//! Each strategy fills the counters that are meaningful for it and leaves
+//! the rest at zero, and [`crate::QueryOutput`] carries one [`EvalStats`] no
+//! matter which strategy ran — no downstream table has to know which
+//! machine it is talking to.
 
 use std::ops::{Add, AddAssign};
 use xpeval_obs::{Field, FieldValue, MetricSource};

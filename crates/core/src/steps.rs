@@ -1,21 +1,22 @@
-//! Shared location-step semantics.
+//! Location-step semantics on the AST, and what a plan can read off its
+//! final step.
 //!
-//! Both the naive evaluator and the context-value-table evaluator apply
-//! location steps through [`apply_step`], which implements the XPath 1.0
-//! semantics of a single step `axis::test[p1]...[pk]` relative to one
-//! context node: candidates are produced by the axis in document order,
-//! proximity positions are assigned (reverse axes count backwards), and each
-//! predicate filters the candidate list in turn, re-deriving positions after
-//! every filter exactly as the recommendation prescribes.
+//! [`apply_step`] implements the XPath 1.0 semantics of a single step
+//! `axis::test[p1]...[pk]` relative to one context node: candidates are
+//! produced by the axis in document order, proximity positions are assigned
+//! (reverse axes count backwards), and each predicate filters the candidate
+//! list in turn, re-deriving positions after every filter exactly as the
+//! recommendation prescribes.  Its one caller is the AST-level
+//! [`crate::reference`] evaluator; the plan machines of [`crate::exec`] run
+//! the same loop over lowered steps and share [`predicate_holds`] and the
+//! `positional_pick` recognition (applied once, at lowering).
 //!
 //! Candidates come from an [`AxisSource`], so a [`xpeval_dom::Document`]
 //! walks the tree while a [`xpeval_dom::PreparedDocument`] answers name
 //! tests on the child/descendant/following/preceding axes from its indexes.
-//! A leading positional predicate on a child step (`child::t[k]`,
-//! `child::t[last()]` and the `position() =` spellings) is recognized here
-//! and answered through [`AxisSource::positional_child_step`], so every
-//! evaluator built on [`apply_step`] picks the indexed lookup up without
-//! per-evaluator special cases.
+//!
+//! [`result_size_bound`] / [`final_step_tag_names`] are the tag-index
+//! selectivity signal of the plan choice in [`crate::compile`].
 
 use crate::context::Context;
 use crate::error::EvalError;
@@ -25,9 +26,9 @@ use xpeval_syntax::{Expr, RelOp, Step};
 
 /// Applies one location step from a single context node.
 ///
-/// `eval_pred` is the callback used to evaluate predicate expressions; the
-/// naive evaluator passes plain recursion, the DP evaluator passes its
-/// memoizing recursion.  Returns the selected nodes in document order.
+/// `eval_pred` is the callback used to evaluate predicate expressions (the
+/// reference evaluator passes plain recursion).  Returns the selected nodes
+/// in document order.
 pub fn apply_step<S, F>(
     src: &S,
     from: NodeId,
@@ -174,111 +175,6 @@ pub fn final_step_tag_names(expr: &Expr) -> Option<Vec<&str>> {
     }
     let mut out = Vec::new();
     collect(expr, &mut out)?;
-    Some(out)
-}
-
-/// Resolves every *name* test in `expr` against `src`'s tag index, in
-/// place: `Name("a")` becomes `Resolved { name: "a", id: tag_id }` so that
-/// evaluation looks elements up by interned [`xpeval_dom::TagId`] instead of
-/// hashing the string at every step.  A name absent from the document
-/// resolves to `id: None` (indexed axes then produce the empty set without
-/// touching the index at all).
-///
-/// Idempotent and source-correct: already-resolved tests are re-resolved,
-/// and resolving against a source without a tag index reverts them to plain
-/// `Name` tests.  Attribute-principal steps are left alone — the tag index
-/// covers elements only.
-pub fn resolve_name_tests<S: AxisSource + ?Sized>(expr: &mut Expr, src: &S) {
-    use xpeval_dom::{NodeTest, TagResolution};
-
-    fn resolve_step<S: AxisSource + ?Sized>(step: &mut Step, src: &S) {
-        if !step.axis.principal_is_attribute() {
-            let resolution = match &step.node_test {
-                NodeTest::Name(name) | NodeTest::Resolved { name, .. } => {
-                    Some(src.resolve_tag(name))
-                }
-                _ => None,
-            };
-            match resolution {
-                Some(TagResolution::NoIndex) => {
-                    // No index to resolve against: make sure no stale id
-                    // from a previous source survives.
-                    if let NodeTest::Resolved { name, .. } = &mut step.node_test {
-                        step.node_test = NodeTest::Name(std::mem::take(name));
-                    }
-                }
-                Some(res) => {
-                    let id = match res {
-                        TagResolution::Id(id) => Some(id),
-                        _ => None,
-                    };
-                    let name = match &mut step.node_test {
-                        NodeTest::Name(name) | NodeTest::Resolved { name, .. } => {
-                            std::mem::take(name)
-                        }
-                        _ => unreachable!("resolution is only Some for name tests"),
-                    };
-                    step.node_test = NodeTest::Resolved { name, id };
-                }
-                None => {}
-            }
-        }
-        for pred in &mut step.predicates {
-            walk(pred, src);
-        }
-    }
-
-    fn walk<S: AxisSource + ?Sized>(expr: &mut Expr, src: &S) {
-        match expr {
-            Expr::Path(path) => {
-                for step in &mut path.steps {
-                    resolve_step(step, src);
-                }
-            }
-            Expr::Union(a, b)
-            | Expr::Intersect(a, b)
-            | Expr::Except(a, b)
-            | Expr::Or(a, b)
-            | Expr::And(a, b)
-            | Expr::Relational {
-                left: a, right: b, ..
-            }
-            | Expr::NodeCompare {
-                left: a, right: b, ..
-            }
-            | Expr::Arithmetic {
-                left: a, right: b, ..
-            } => {
-                walk(a, src);
-                walk(b, src);
-            }
-            Expr::Not(e) | Expr::Neg(e) => walk(e, src),
-            Expr::FunctionCall { args, .. } => {
-                for arg in args {
-                    walk(arg, src);
-                }
-            }
-            Expr::Number(_) | Expr::Literal(_) | Expr::Variable(_) => {}
-        }
-    }
-
-    walk(expr, src);
-}
-
-/// The candidate list behind [`result_size_bound`]: every node the query
-/// could possibly select, in document order.  `None` under the same
-/// conditions (again via [`final_step_tag_names`]).  Evaluators that
-/// recover a node-set result by deciding membership per candidate
-/// (Singleton-Success, the parallel loop) iterate this list instead of the
-/// whole document.
-pub fn result_candidates<S: AxisSource + ?Sized>(expr: &Expr, src: &S) -> Option<Vec<NodeId>> {
-    let names = final_step_tag_names(expr)?;
-    let mut out = Vec::new();
-    for name in names {
-        out.extend_from_slice(src.elements_named(name)?);
-    }
-    src.document().sort_document_order(&mut out);
-    out.dedup();
     Some(out)
 }
 
@@ -492,63 +388,6 @@ mod tests {
         assert!(predicate_holds(&Value::Boolean(true), 99));
         assert!(!predicate_holds(&Value::empty(), 1));
         assert!(predicate_holds(&Value::Str("x".into()), 1));
-    }
-
-    #[test]
-    fn resolve_name_tests_interns_reverts_and_marks_absent() {
-        let d = doc();
-        let prepared = xpeval_dom::PreparedDocument::new(d);
-        let mut expr =
-            parse_query("/r/a[child::b]/nosuch | count(descendant::a) = attribute::a").unwrap();
-        resolve_name_tests(&mut expr, &prepared);
-        // Collect every (name, id) pair of resolved tests.
-        fn resolved(expr: &Expr, out: &mut Vec<(String, bool)>) {
-            match expr {
-                Expr::Path(p) => {
-                    for s in &p.steps {
-                        if let NodeTest::Resolved { name, id } = &s.node_test {
-                            out.push((name.clone(), id.is_some()));
-                        }
-                        for pred in &s.predicates {
-                            resolved(pred, out);
-                        }
-                    }
-                }
-                Expr::Union(a, b)
-                | Expr::Relational {
-                    left: a, right: b, ..
-                } => {
-                    resolved(a, out);
-                    resolved(b, out);
-                }
-                Expr::FunctionCall { args, .. } => {
-                    for a in args {
-                        resolved(a, out);
-                    }
-                }
-                _ => {}
-            }
-        }
-        let mut seen = Vec::new();
-        resolved(&expr, &mut seen);
-        // r, a, the predicate's b, nosuch and the count() argument's a are
-        // resolved; the attribute-principal step stays a plain name test.
-        assert_eq!(
-            seen,
-            vec![
-                ("r".to_string(), true),
-                ("a".to_string(), true),
-                ("b".to_string(), true),
-                ("nosuch".to_string(), false),
-                ("a".to_string(), true),
-            ]
-        );
-        // Resolving against an unindexed source reverts to plain names.
-        let plain = doc();
-        resolve_name_tests(&mut expr, &plain);
-        let mut seen = Vec::new();
-        resolved(&expr, &mut seen);
-        assert!(seen.is_empty(), "no Resolved tests may survive: {seen:?}");
     }
 
     #[test]

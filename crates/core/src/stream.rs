@@ -21,8 +21,8 @@
 //! [`crate::CompiledQuery::run_streaming_prepared`], or push-style via the
 //! visitor form [`crate::CompiledQuery::run_visit`].
 
-use crate::corexpath::NodeBitSet;
 use crate::error::EvalError;
+use crate::sets::NodeBitSet;
 use std::borrow::Cow;
 use xpeval_dom::NodeId;
 

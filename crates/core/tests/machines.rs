@@ -1,0 +1,630 @@
+//! Semantics of the plan machines, checked through [`CompiledQuery`].
+//!
+//! Every test states the expected answer outright (from the XPath 1.0
+//! recommendation or the paper) and runs the query — lowered as written, no
+//! normalization — on each [`EvalStrategy`]: a machine either admits the
+//! query and produces that answer, or rejects it as outside its fragment.
+
+use xpeval_core::{
+    CompileOptions, CompiledQuery, Context, EvalError, EvalStrategy, SuccessTarget, Value,
+};
+use xpeval_dom::{parse_xml, Document, DocumentBuilder, NodeId};
+use xpeval_syntax::parse_query;
+
+const BOOKS: &str = r#"<lib><book year="2001"><title>A</title></book><book year="2003"><title>B</title><cite/></book><paper year="2003"><title>C</title></paper></lib>"#;
+const TREE: &str =
+    "<r><a><b><c/></b><b/><d/></a><a><b><c/></b><d/><b><c/></b></a><e><a><b/></a></e></r>";
+
+const CVT: EvalStrategy = EvalStrategy::ContextValueTable;
+const LINEAR: EvalStrategy = EvalStrategy::CoreXPathLinear;
+const SS: EvalStrategy = EvalStrategy::SingletonSuccess;
+const ALL: [EvalStrategy; 5] = [
+    CVT,
+    EvalStrategy::Naive,
+    LINEAR,
+    SS,
+    EvalStrategy::Parallel { threads: 3 },
+];
+
+fn plan(query: &str, strategy: EvalStrategy) -> CompiledQuery {
+    let options = CompileOptions {
+        strategy: Some(strategy),
+        normalize: false,
+        ..CompileOptions::default()
+    };
+    CompiledQuery::from_expr_with(parse_query(query).unwrap(), &options)
+}
+
+/// The query's value on the context-value-table machine (which admits all
+/// of XPath), after checking that every other machine computes the same
+/// value or rejects the query's fragment.
+fn eval_on(doc: &Document, query: &str) -> Value {
+    let expected = plan(query, CVT).run(doc).unwrap().value;
+    for strategy in ALL {
+        match plan(query, strategy).run(doc) {
+            Ok(out) => assert_eq!(out.value, expected, "{query} via {strategy:?}"),
+            Err(EvalError::UnsupportedFragment { .. }) => {}
+            Err(other) => panic!("{query} via {strategy:?}: {other:?}"),
+        }
+    }
+    expected
+}
+
+fn eval(xml: &str, query: &str) -> Value {
+    eval_on(&parse_xml(xml).unwrap(), query)
+}
+
+fn names(xml: &str, query: &str) -> Vec<String> {
+    let doc = parse_xml(xml).unwrap();
+    let value = eval_on(&doc, query);
+    let nodes = value.expect_nodes();
+    nodes
+        .iter()
+        .map(|&n| doc.name(n).unwrap_or("#").to_string())
+        .collect()
+}
+
+fn strings(xml: &str, query: &str) -> Vec<String> {
+    let doc = parse_xml(xml).unwrap();
+    let value = eval_on(&doc, query);
+    let nodes = value.expect_nodes();
+    nodes.iter().map(|&n| doc.string_value(n)).collect()
+}
+
+/// The query must be admitted by `strategy` (and agree with everyone else).
+fn admitted(xml: &str, query: &str, strategy: EvalStrategy) -> Value {
+    let doc = parse_xml(xml).unwrap();
+    let expected = eval_on(&doc, query);
+    let got = plan(query, strategy).run(&doc);
+    assert_eq!(got.map(|o| o.value), Ok(expected.clone()), "{query}");
+    expected
+}
+
+fn nth_named(doc: &Document, name: &str, n: usize) -> NodeId {
+    doc.all_elements()
+        .filter(|&e| doc.name(e) == Some(name))
+        .nth(n)
+        .unwrap()
+}
+
+// -- XPath 1.0 semantics, every machine ---------------------------------------
+
+#[test]
+fn simple_child_paths() {
+    assert_eq!(names(BOOKS, "/child::lib/child::book"), ["book", "book"]);
+    assert_eq!(names(BOOKS, "/lib/book/title"), ["title", "title"]);
+    assert_eq!(names(BOOKS, "//title"), ["title", "title", "title"]);
+}
+
+#[test]
+fn paper_example_query_semantics() {
+    // /descendant::a/child::b[descendant::c and not(following-sibling::d)]
+    let xml = "<r><a><b><c/></b><b/><d/></a><a><b><c/></b><d/><b><c/></b></a></r>";
+    // First a: its first b has a c but also a following d sibling; its
+    // second b has no c.  Second a: only the last b has a c and no
+    // following d.
+    let q = "/descendant::a/child::b[descendant::c and not(following-sibling::d)]";
+    assert_eq!(strings(xml, q).len(), 1);
+    assert_eq!(
+        names(xml, "/descendant::a/child::b[descendant::c]").len(),
+        3
+    );
+}
+
+#[test]
+fn predicates_with_attributes_and_values() {
+    assert_eq!(names(BOOKS, "//book[@year = 2003]"), ["book"]);
+    assert_eq!(strings(BOOKS, "//book[@year = 2003]/title"), ["B"]);
+    assert_eq!(names(BOOKS, "//*[@year = 2003]"), ["book", "paper"]);
+    assert_eq!(names(BOOKS, "//book[child::cite]"), ["book"]);
+}
+
+#[test]
+fn position_and_last() {
+    assert_eq!(strings(BOOKS, "//book[position() = 2]/title"), ["B"]);
+    assert_eq!(strings(BOOKS, "//book[last()]/title"), ["B"]);
+    assert_eq!(strings(BOOKS, "//book[1]/title"), ["A"]);
+    // Section 2.2 example: position() + 1 = last() selects w_k with k+1 = m.
+    let xml = "<r><a>1</a><a>2</a><a>3</a></r>";
+    assert_eq!(strings(xml, "/r/a[position() + 1 = last()]"), ["2"]);
+    // Iterated predicates re-derive positions after every filter.
+    assert_eq!(strings(xml, "/r/a[position() >= 2][1]"), ["2"]);
+}
+
+#[test]
+fn booleans_and_unions() {
+    assert_eq!(
+        names(BOOKS, "//book[child::cite or child::title]"),
+        ["book", "book"]
+    );
+    assert_eq!(
+        names(BOOKS, "//book[child::cite and child::title]"),
+        ["book"]
+    );
+    assert_eq!(names(BOOKS, "//book[not(child::cite)]"), ["book"]);
+    let mut all = names(BOOKS, "//book/title | //paper/title | //cite");
+    all.sort();
+    assert_eq!(all, ["cite", "title", "title", "title"]);
+}
+
+#[test]
+fn scalar_results() {
+    assert_eq!(eval(BOOKS, "count(//book)"), Value::Number(2.0));
+    assert_eq!(eval(BOOKS, "count(//book | //paper)"), Value::Number(3.0));
+    assert_eq!(eval(BOOKS, "1 + 2 * 3"), Value::Number(7.0));
+    assert_eq!(
+        eval(BOOKS, "string(//book[1]/title)"),
+        Value::Str("A".into())
+    );
+    assert_eq!(eval(BOOKS, "boolean(//nosuch)"), Value::Boolean(false));
+    assert_eq!(eval(BOOKS, "not(//nosuch)"), Value::Boolean(true));
+    assert_eq!(
+        eval(BOOKS, "concat('x', string(count(//title)))"),
+        Value::Str("x3".into())
+    );
+    assert_eq!(eval(BOOKS, "sum(//book/@year)"), Value::Number(4004.0));
+}
+
+#[test]
+fn axes_in_document_order() {
+    let xml = "<r><x><a/><b/></x><y><c/></y></r>";
+    assert_eq!(names(xml, "//c/ancestor::*"), ["r", "y"]);
+    assert_eq!(names(xml, "//a/following::*"), ["b", "y", "c"]);
+    assert_eq!(names(xml, "//c/preceding::*"), ["x", "a", "b"]);
+    assert_eq!(names(xml, "//b/preceding-sibling::*"), ["a"]);
+    assert_eq!(names(xml, "//a/ancestor-or-self::*"), ["r", "x", "a"]);
+}
+
+#[test]
+fn root_query_and_self_axis() {
+    assert_eq!(eval(BOOKS, "/").expect_nodes().len(), 1);
+    assert_eq!(names(BOOKS, "//title/self::title").len(), 3);
+    assert_eq!(names(BOOKS, "//title/."), ["title", "title", "title"]);
+    assert_eq!(names(BOOKS, "//title/../..").len(), 1);
+}
+
+#[test]
+fn text_nodes() {
+    assert_eq!(strings(BOOKS, "//title/text()"), ["A", "B", "C"]);
+}
+
+#[test]
+fn set_operators_follow_document_order() {
+    assert_eq!(strings(BOOKS, "//title intersect //book/title"), ["A", "B"]);
+    assert_eq!(strings(BOOKS, "//title except //book/title"), ["C"]);
+    assert_eq!(
+        strings(BOOKS, "(//title | //cite) except //paper/title"),
+        ["A", "B", ""]
+    );
+    assert_eq!(
+        eval(BOOKS, "//book intersect //paper"),
+        Value::NodeSet(vec![])
+    );
+    assert_eq!(
+        eval(BOOKS, "//title except //title"),
+        Value::NodeSet(vec![])
+    );
+    assert_eq!(names(BOOKS, "//title intersect //title").len(), 3);
+}
+
+#[test]
+fn node_comparisons_use_first_nodes_in_document_order() {
+    for (q, expected) in [
+        ("//book is //book", true),
+        ("//book is //paper", false),
+        ("//book << //paper", true),
+        ("//paper >> //cite", true),
+        ("//paper << //book", false),
+        // Empty operands never compare true, on either side.
+        ("//nosuch is //book", false),
+        ("//book << //nosuch", false),
+    ] {
+        assert_eq!(eval(BOOKS, q), Value::Boolean(expected), "{q}");
+    }
+}
+
+#[test]
+fn relative_queries_use_the_context_node() {
+    let doc = parse_xml(BOOKS).unwrap();
+    let book2 = nth_named(&doc, "book", 1);
+    for strategy in ALL {
+        let out = plan("child::title", strategy)
+            .run_with_context(&doc, Context::new(book2, 1, 1))
+            .unwrap();
+        let nodes = out.value.expect_nodes();
+        assert_eq!(nodes.len(), 1, "{strategy:?}");
+        assert_eq!(doc.string_value(nodes[0]), "B", "{strategy:?}");
+    }
+}
+
+// `from_expr` skips compile-time call validation; the machines catch what
+// it would have.
+
+#[test]
+fn unknown_function_is_an_error() {
+    let doc = parse_xml("<a/>").unwrap();
+    for strategy in [CVT, EvalStrategy::Naive, SS] {
+        assert!(matches!(
+            plan("frobnicate(1)", strategy).run(&doc),
+            Err(EvalError::UnknownFunction { .. })
+        ));
+    }
+}
+
+#[test]
+fn variables_are_unbound_without_bindings() {
+    let doc = parse_xml("<a/>").unwrap();
+    for strategy in [CVT, EvalStrategy::Naive, SS] {
+        let err = plan("$threshold", strategy).run(&doc).unwrap_err();
+        assert!(
+            matches!(&err, EvalError::UnboundVariable { name } if name == "threshold"),
+            "{strategy:?}: {err:?}"
+        );
+    }
+}
+
+#[test]
+fn union_of_scalar_is_type_error() {
+    let doc = parse_xml("<a/>").unwrap();
+    assert!(matches!(
+        plan("1 | //a", CVT).run(&doc),
+        Err(EvalError::TypeError { .. })
+    ));
+}
+
+// -- context-value tables (Proposition 2.7) -----------------------------------
+
+#[test]
+fn table_keys_collapse_for_position_insensitive_subexpressions() {
+    // The predicate `child::b` is position-insensitive: even though it is
+    // evaluated in many different (node, pos, size) triples it is stored
+    // per node only.  The position-sensitive variant stores full triples —
+    // more entries, still polynomial.
+    let doc = parse_xml("<r><a><b/></a><a><b/></a><a><b/></a><a/></r>").unwrap();
+    let entries = |q| plan(q, CVT).run(&doc).unwrap().stats.table_entries;
+    assert!(entries("//a[child::b and position() <= last()]") >= entries("//a[child::b]"));
+}
+
+#[test]
+fn table_machine_is_polynomial_on_the_exponential_query_family() {
+    // //a/b/parent::a/b/parent::a/... — the family on which naive engines
+    // blow up (Section 1).  With set semantics each step touches at most
+    // |D| context nodes, so the work grows by a constant per repetition.
+    let k = 5u64;
+    let doc = parse_xml("<a><b/><b/><b/><b/><b/></a>").unwrap();
+    let work: Vec<u64> = (1..=6)
+        .map(|reps| {
+            let q = format!("//a{}", "/b/parent::a".repeat(reps));
+            plan(&q, CVT)
+                .run(&doc)
+                .unwrap()
+                .stats
+                .step_context_evaluations
+        })
+        .collect();
+    for w in work.windows(2) {
+        assert!(w[1] - w[0] <= 2 * k + 4, "work not linear: {work:?}");
+    }
+}
+
+// -- the linear Core XPath machine (Proposition 2.7) --------------------------
+
+#[test]
+fn linear_machine_admits_core_xpath() {
+    for q in [
+        "/descendant::a/child::b",
+        "/descendant::a/child::b[descendant::c]",
+        "/descendant::a/child::b[descendant::c and not(following-sibling::d)]",
+        "//a[not(child::d)]",
+        "//b[parent::a and not(descendant::c)]",
+        "//a/ancestor-or-self::*",
+        "//c/preceding::b",
+        "//b/following::d",
+        "//b/following-sibling::*",
+        "//d/preceding-sibling::b",
+        "//a[child::b or child::d]/child::b",
+        "/r/e/a | //d",
+        "//*[not(descendant::c) and not(self::c)]",
+        "//a[not(not(child::b))]",
+    ] {
+        admitted(TREE, q, LINEAR);
+    }
+}
+
+#[test]
+fn linear_machine_on_a_deeper_document() {
+    let xml = "<x><y><z><x><y/></x></z></y><z><x/></z></x>";
+    for q in [
+        "//x[ancestor::z]",
+        "//y[not(ancestor::y)]",
+        "//z[descendant::y or parent::x]",
+        "/x/z/x",
+        "//x[following::z]",
+        "//z[preceding::y]",
+    ] {
+        admitted(xml, q, LINEAR);
+    }
+}
+
+#[test]
+fn absolute_paths_in_conditions() {
+    admitted(TREE, "//a[/descendant::c]", LINEAR);
+    admitted(TREE, "//a[not(/descendant::nosuch)]", LINEAR);
+}
+
+#[test]
+fn set_operators_run_on_bitsets() {
+    for q in [
+        "//b intersect //a/b",
+        "//b except //a/b",
+        "//b[child::c] intersect //a/b",
+        "(//b | //d) except //a[child::d]/b",
+        "//c except //nosuch",
+        "//nosuch intersect //b",
+    ] {
+        admitted(TREE, q, LINEAR);
+    }
+}
+
+#[test]
+fn satisfaction_sets_match_their_definition() {
+    // [[child::b]] is the set of nodes with at least one b child; the
+    // document has no attributes, so descendant-or-self::node() from the
+    // root ranges over every node.
+    let doc = parse_xml(TREE).unwrap();
+    let sat = |cond: &str| {
+        let q = format!("/descendant-or-self::node()[{cond}]");
+        let value = plan(&q, LINEAR).run(&doc).unwrap().value;
+        value.into_nodes().unwrap()
+    };
+    let expected: Vec<NodeId> = doc
+        .all_nodes()
+        .filter(|&n| doc.count_children_named(n, "b") > 0)
+        .collect();
+    assert_eq!(sat("child::b"), expected);
+    // Negation is the complement.
+    assert_eq!(sat("not(child::b)").len(), doc.len() - expected.len());
+    // An absolute condition holds at every node or at none.
+    assert_eq!(sat("/descendant::c").len(), doc.len());
+    assert!(sat("/descendant::nosuch").is_empty());
+}
+
+#[test]
+fn linear_machine_rejects_non_core_queries() {
+    let doc = parse_xml(TREE).unwrap();
+    for q in [
+        "//a[position() = 2]",
+        "count(//a)",
+        "//a[@id = 1]",
+        "//a[1]",
+    ] {
+        assert!(
+            matches!(
+                plan(q, LINEAR).run(&doc),
+                Err(EvalError::UnsupportedFragment { .. })
+            ),
+            "{q} should be rejected"
+        );
+    }
+}
+
+#[test]
+fn linear_machine_runs_from_inner_context_nodes() {
+    let doc = parse_xml(TREE).unwrap();
+    let q = plan("child::b", LINEAR);
+    let contexts: Vec<Context> = (0..3)
+        .map(|n| Context::new(nth_named(&doc, "a", n), 1, 1))
+        .collect();
+    let sizes: Vec<usize> = q
+        .run_many(&doc, &contexts)
+        .unwrap()
+        .iter()
+        .map(|o| o.value.expect_nodes().len())
+        .collect();
+    assert_eq!(sizes, [2, 2, 1]);
+}
+
+#[test]
+fn linear_work_is_per_step_not_per_node() {
+    // Chains of growing size under a fixed query: the answer scales with
+    // the document, the machine's step count does not (each step is one
+    // image over all contexts at once).
+    let q = plan("//a[child::b and not(child::c)]", LINEAR);
+    let mut steps = Vec::new();
+    for n in [10usize, 100, 1000] {
+        // Deep chains are built with the (iterative) builder; the recursive
+        // XML parser is only meant for modestly nested inputs.
+        let mut b = DocumentBuilder::new();
+        b.open_element("r");
+        for _ in 0..n {
+            b.open_element("a");
+            b.leaf_element("b");
+        }
+        b.leaf_element("c");
+        let doc = b.finish();
+        let out = q.run(&doc).unwrap();
+        assert_eq!(out.value.expect_nodes().len(), n - 1);
+        steps.push(out.stats.step_context_evaluations);
+    }
+    assert!(steps.windows(2).all(|w| w[0] == w[1]), "{steps:?}");
+}
+
+// -- Singleton-Success (Definition 5.3, Lemma 5.4, Table 1) -------------------
+
+/// `decide` agrees with the materialized answer: for node sets on every
+/// document node, for scalars on the value and on a near miss.
+fn decide_agrees(xml: &str, query: &str) {
+    let doc = parse_xml(xml).unwrap();
+    let ctx = Context::root(&doc);
+    let q = plan(query, SS);
+    let decide = |target| q.decide(&doc, ctx, &target).unwrap();
+    match admitted(xml, query, SS) {
+        Value::NodeSet(expected) => {
+            for v in doc.all_nodes() {
+                assert_eq!(
+                    decide(SuccessTarget::Node(v)),
+                    expected.contains(&v),
+                    "membership of {v:?} in {query}"
+                );
+            }
+        }
+        Value::Boolean(b) => assert_eq!(decide(SuccessTarget::True), b, "{query}"),
+        Value::Number(n) => {
+            assert!(decide(SuccessTarget::Number(n)), "{query}");
+            assert!(!decide(SuccessTarget::Number(n + 1.0)), "{query}");
+        }
+        Value::Str(s) => {
+            assert!(decide(SuccessTarget::Str(s.clone())), "{query}");
+            assert!(!decide(SuccessTarget::Str(format!("{s}x"))), "{query}");
+        }
+    }
+}
+
+#[test]
+fn location_path_rows_decide_like_the_materialized_answer() {
+    for q in [
+        "/lib/book/title",
+        "//book[@year = 2003]/title",
+        "//book[position() = 2]",
+        "//book[position() + 1 = last()]",
+        "//book[child::cite]/title",
+        "//title | //cite",
+        "//book[2]",
+        "/lib/*[last()]",
+    ] {
+        decide_agrees(BOOKS, q);
+    }
+}
+
+#[test]
+fn scalar_rows_decide_like_the_materialized_answer() {
+    for q in [
+        "1 + 2 * 3",
+        "position() = 1",
+        "concat('a', 'b')",
+        "contains('hello', 'ell')",
+        "floor(2.5) + ceiling(0.5)",
+        "boolean(//cite)",
+        "boolean(//nosuch)",
+    ] {
+        decide_agrees(BOOKS, q);
+    }
+}
+
+#[test]
+fn nodeset_comparisons_are_existential() {
+    decide_agrees(BOOKS, "//book[@year = //paper/@year]");
+    decide_agrees(BOOKS, "//book[@year < 2002]");
+    decide_agrees(BOOKS, "//book[title = 'B']");
+}
+
+#[test]
+fn set_operator_and_node_comparison_rows() {
+    for q in [
+        "//title intersect //book/title",
+        "//title except //book/title",
+        "(//title | //cite) except //paper/title",
+        "//book intersect //paper",
+        "//book[child::cite] intersect //book[@year = 2003]",
+        "//book is //book",
+        "//cite << //paper",
+        "//paper >> //cite",
+        "//nosuch is //book",
+    ] {
+        decide_agrees(BOOKS, q);
+    }
+}
+
+#[test]
+fn bounded_negation_extension() {
+    // Theorems 5.9 / 6.3: negation is decided by a loop over the document.
+    for q in [
+        "//book[not(child::cite)]",
+        "//book[not(child::cite) and @year = 2003]",
+        "//*[not(parent::lib) and not(child::*)]",
+        "not(//nosuch)",
+        "//book[not(not(child::cite))]",
+    ] {
+        decide_agrees(BOOKS, q);
+    }
+}
+
+#[test]
+fn decide_respects_the_context_triple() {
+    let doc = parse_xml(BOOKS).unwrap();
+    let q = plan("position() = 2", SS);
+    let at = |position| Context::new(doc.root(), position, 3);
+    assert!(!q.decide(&doc, at(1), &SuccessTarget::True).unwrap());
+    assert!(q.decide(&doc, at(2), &SuccessTarget::True).unwrap());
+}
+
+#[test]
+fn singleton_success_rejects_constructs_outside_pxpath() {
+    let doc = parse_xml(BOOKS).unwrap();
+    for q in [
+        "//book[child::cite][position() = 1]", // iterated predicates
+        "count(//book)",                       // forbidden function
+        "//book[string(title) = 'A']",         // forbidden function
+        "//book[(child::cite and child::title) = true()]", // boolean relop operand
+        "sum(//book/@year)",
+    ] {
+        for strategy in [SS, EvalStrategy::Parallel { threads: 2 }] {
+            assert!(
+                matches!(
+                    plan(q, strategy).run(&doc),
+                    Err(EvalError::UnsupportedFragment { .. })
+                ),
+                "{q} should be rejected by {strategy:?}"
+            );
+        }
+        let target = SuccessTarget::Node(doc.root());
+        assert!(plan(q, CVT)
+            .decide(&doc, Context::root(&doc), &target)
+            .is_err());
+    }
+}
+
+// -- the parallel loop (Theorem 5.5, Remark 5.6) ------------------------------
+
+#[test]
+fn parallel_equals_sequential_across_thread_counts() {
+    for threads in [1, 2, 4] {
+        for q in [
+            "/lib/book/title",
+            "//book[@year = 2003]/title",
+            "//book[position() + 1 = last()]",
+            "//book[not(child::cite)]",
+            "//title | //cite",
+        ] {
+            admitted(BOOKS, q, EvalStrategy::Parallel { threads });
+        }
+    }
+}
+
+#[test]
+fn zero_threads_means_sequential() {
+    admitted(
+        BOOKS,
+        "//book[position() = last()]",
+        EvalStrategy::Parallel { threads: 0 },
+    );
+}
+
+#[test]
+fn parallel_plan_decides_scalar_queries_on_the_calling_thread() {
+    for q in ["boolean(//cite)", "concat('x', 'y')", "2 * 3 + 1"] {
+        admitted(BOOKS, q, EvalStrategy::Parallel { threads: 4 });
+    }
+}
+
+#[test]
+fn parallel_equals_sequential_on_a_larger_document() {
+    let mut xml = String::from("<r>");
+    for i in 0..200 {
+        xml.push_str(&format!("<item idx=\"{i}\"><sub/>{}</item>", i % 7));
+    }
+    xml.push_str("</r>");
+    let q = "//item[child::sub and position() < 100]";
+    let value = admitted(&xml, q, EvalStrategy::Parallel { threads: 4 });
+    assert_eq!(value.expect_nodes().len(), 99);
+}

@@ -223,12 +223,19 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use xpeval_circuits::{carry_bit_circuit, carry_bit_inputs, random_monotone_circuit};
-    use xpeval_core::{CoreXPathEvaluator, DpEvaluator};
+    use xpeval_core::{CompiledQuery, EvalStrategy};
+    use xpeval_dom::{Axis, NodeTest};
     use xpeval_syntax::{classify, Fragment};
+    use xpeval_syntax::{Expr, LocationPath, Step};
 
     fn reduction_answer(red: &CoreCircuitReduction) -> bool {
-        let ev = CoreXPathEvaluator::new(&red.document);
-        let result = ev.evaluate_query(&red.query).unwrap();
+        let result = CompiledQuery::from_expr(red.query.clone())
+            .with_strategy(EvalStrategy::CoreXPathLinear)
+            .run(&red.document)
+            .unwrap()
+            .value
+            .into_nodes()
+            .unwrap();
         assert!(result.len() <= 1);
         if result.len() == 1 {
             assert_eq!(result[0], red.result_node);
@@ -284,10 +291,21 @@ mod tests {
         let inputs = carry_bit_inputs(2, 3); // a=2, b=3 → carry = true
         let values = circuit.evaluate_all(&inputs).unwrap();
         let red = circuit_to_core_xpath(&circuit, &inputs, false).unwrap();
-        let ev = CoreXPathEvaluator::new(&red.document);
         let m = circuit.num_inputs();
         for (k, phi) in red.phis.iter().enumerate() {
-            let sat = ev.satisfying_nodes(phi).unwrap();
+            // [[ϕ_k]] as a query: every node at which the condition holds.
+            let everywhere = Expr::Path(LocationPath::absolute(vec![Step::with_predicate(
+                Axis::DescendantOrSelf,
+                NodeTest::AnyNode,
+                phi.clone(),
+            )]));
+            let sat = CompiledQuery::from_expr(everywhere)
+                .with_strategy(EvalStrategy::CoreXPathLinear)
+                .run(&red.document)
+                .unwrap()
+                .value
+                .into_nodes()
+                .unwrap();
             for i in 1..=(m + k) {
                 let expected = values[i - 1];
                 let got = sat.contains(&red.gate_nodes[i - 1]);
@@ -340,11 +358,12 @@ mod tests {
             let expected = circuit.evaluate(&inputs).unwrap();
             let red = circuit_to_core_xpath(&circuit, &inputs, round % 2 == 0).unwrap();
             assert_eq!(reduction_answer(&red), expected, "round {round}");
-            // The DP evaluator agrees with the linear Core XPath evaluator.
-            let dp = DpEvaluator::new(&red.document, &red.query)
-                .evaluate()
+            // The context-value-table machine agrees with the linear one.
+            let cvt = CompiledQuery::from_expr(red.query.clone())
+                .with_strategy(EvalStrategy::ContextValueTable)
+                .run(&red.document)
                 .unwrap();
-            assert_eq!(!dp.expect_nodes().is_empty(), expected);
+            assert_eq!(!cvt.value.expect_nodes().is_empty(), expected);
         }
     }
 

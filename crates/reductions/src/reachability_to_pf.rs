@@ -239,12 +239,17 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use xpeval_core::{CoreXPathEvaluator, DpEvaluator};
+    use xpeval_core::{CompiledQuery, EvalStrategy};
     use xpeval_syntax::{classify, Fragment};
 
     fn answer(red: &PfReachabilityReduction) -> bool {
-        let ev = CoreXPathEvaluator::new(&red.document);
-        let result = ev.evaluate_query(&red.query).unwrap();
+        let result = CompiledQuery::from_expr(red.query.clone())
+            .with_strategy(EvalStrategy::CoreXPathLinear)
+            .run(&red.document)
+            .unwrap()
+            .value
+            .into_nodes()
+            .unwrap();
         assert!(result.len() <= 1, "query must select at most the target");
         if let Some(&node) = result.first() {
             assert_eq!(node, red.target_node);
@@ -348,12 +353,13 @@ mod tests {
             let t = rng.gen_range(1..=n);
             let red = reachability_to_pf(&g, s, t);
             assert_eq!(answer(&red), g.reachable(s, t), "n={n} {s}->{t} {g:?}");
-            // The DP evaluator agrees with the linear evaluator on the
-            // generated instance.
-            let dp = DpEvaluator::new(&red.document, &red.query)
-                .evaluate()
+            // The context-value-table machine agrees with the linear one
+            // on the generated instance.
+            let cvt = CompiledQuery::from_expr(red.query.clone())
+                .with_strategy(EvalStrategy::ContextValueTable)
+                .run(&red.document)
                 .unwrap();
-            assert_eq!(!dp.expect_nodes().is_empty(), g.reachable(s, t));
+            assert_eq!(!cvt.value.expect_nodes().is_empty(), g.reachable(s, t));
         }
     }
 

@@ -190,12 +190,17 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use xpeval_circuits::{random_sac1_circuit, GateId, MonotoneCircuit};
-    use xpeval_core::CoreXPathEvaluator;
+    use xpeval_core::{CompiledQuery, EvalStrategy};
     use xpeval_syntax::{classify, Fragment, QueryFeatures};
 
     fn answer(red: &Sac1Reduction) -> bool {
-        let ev = CoreXPathEvaluator::new(&red.document);
-        let result = ev.evaluate_query(&red.query).unwrap();
+        let result = CompiledQuery::from_expr(red.query.clone())
+            .with_strategy(EvalStrategy::CoreXPathLinear)
+            .run(&red.document)
+            .unwrap()
+            .value
+            .into_nodes()
+            .unwrap();
         assert!(result.len() <= 1);
         if let Some(&node) = result.first() {
             assert_eq!(node, red.result_node);

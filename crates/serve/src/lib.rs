@@ -16,8 +16,8 @@
 //!   MPMC queue.
 //! * **Backpressure** — [`AsyncEngine::try_submit`] fails fast with
 //!   [`TrySubmitError::Full`] when the queue is at capacity;
-//!   [`AsyncEngine::submit`] blocks until a slot drains; under the
-//!   non-default `tokio` feature, `submit_async` awaits the slot.
+//!   [`AsyncEngine::submit`] blocks until a slot drains;
+//!   [`AsyncEngine::submit_async`] awaits the slot.
 //! * [`QueryFuture`] — the pending result: a plain
 //!   [`std::future::Future`], awaitable from any runtime, with a blocking
 //!   [`QueryFuture::wait`] for threads and the minimal own executor
@@ -80,7 +80,6 @@ pub mod future;
 pub mod pool;
 pub(crate) mod queue;
 pub mod stats;
-#[cfg(feature = "tokio")]
 pub mod submit_async;
 
 pub use future::{block_on, DeadlineResult, JobExpired, JobLost, QueryFuture};
@@ -89,5 +88,4 @@ pub use pool::{
     TrySubmitError,
 };
 pub use stats::{ServeStats, WorkerStats};
-#[cfg(feature = "tokio")]
 pub use submit_async::SubmitFuture;

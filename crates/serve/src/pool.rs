@@ -9,9 +9,8 @@
 //!
 //! **Backpressure.**  The queue holds at most `queue_capacity` jobs.
 //! [`AsyncEngine::try_submit`] fails fast with [`TrySubmitError::Full`];
-//! [`AsyncEngine::submit`] blocks the caller until a slot drains.  Under
-//! the non-default `tokio` feature, `submit_async` awaits the slot instead
-//! of blocking.
+//! [`AsyncEngine::submit`] blocks the caller until a slot drains;
+//! [`AsyncEngine::submit_async`] awaits the slot instead of blocking.
 //!
 //! **Graceful shutdown.**  [`AsyncEngine::begin_shutdown`] stops intake;
 //! every already-accepted job still runs to completion.

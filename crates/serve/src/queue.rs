@@ -50,7 +50,6 @@ impl Job {
 }
 
 /// Outcome of [`BoundedQueue::push_or_register`].
-#[cfg(feature = "tokio")]
 pub(crate) enum PushOutcome {
     /// The job was enqueued.
     Pushed,
@@ -164,7 +163,6 @@ impl BoundedQueue {
     /// Async enqueue step: pushes, or registers `waker` to be woken when a
     /// slot drains — atomically with the fullness check, so no wakeup can
     /// slip between the check and the registration.
-    #[cfg(feature = "tokio")]
     pub(crate) fn push_or_register(&self, job: Job, waker: &Waker) -> PushOutcome {
         let mut state = self.state.lock().unwrap();
         if state.shutting_down {

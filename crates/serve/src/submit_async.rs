@@ -1,5 +1,4 @@
-//! The runtime-facing async submission surface, gated behind the
-//! non-default `tokio` feature.
+//! The runtime-facing async submission surface.
 //!
 //! [`AsyncEngine::submit`](crate::AsyncEngine::submit) *blocks* its caller
 //! while the queue is full — correct for dedicated client threads, wrong
@@ -10,13 +9,10 @@
 //! not the thread — on a full queue.  Backpressure thus propagates through
 //! `.await`, tokio-style.
 //!
-//! Nothing here names a tokio type: `SubmitFuture` and
+//! Nothing here names a runtime's type: `SubmitFuture` and
 //! [`QueryFuture`] are plain [`std::future::Future`]s,
 //! so any executor (including the crate's own
-//! [`block_on`](crate::block_on)) can drive them.  The feature exists so
-//! the surface designed for runtime integration stays an explicit opt-in —
-//! and so a real `tokio` dependency, in environments that have one, has a
-//! single place to land.
+//! [`block_on`](crate::block_on)) can drive them.
 
 use crate::future::QueryFuture;
 use crate::pool::{AsyncEngine, QueryResult};

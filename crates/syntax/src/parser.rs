@@ -68,6 +68,13 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// How many parentheses, function calls, predicates and unary minus signs
+/// may enclose a subexpression of a query [`parse_query`] accepts.  The
+/// parser recurses once per enclosing construct, so without a bound a
+/// hostile query — thirty thousand opening parentheses — overflows the stack,
+/// which aborts the process instead of unwinding.  Far above any real query.
+pub const MAX_QUERY_DEPTH: usize = 256;
+
 /// Parses an XPath 1.0 expression into an [`Expr`].
 ///
 /// ```
@@ -77,8 +84,12 @@ impl From<LexError> for ParseError {
 /// ```
 pub fn parse_query(input: &str) -> Result<Expr, ParseError> {
     let tokens = tokenize(input)?;
-    let mut p = Parser { tokens, pos: 0 };
-    let expr = p.parse_or()?;
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
+    let expr = p.parse_or_operands()?;
     if p.pos != p.tokens.len() {
         return Err(p.err("unexpected trailing tokens"));
     }
@@ -88,6 +99,9 @@ pub fn parse_query(input: &str) -> Result<Expr, ParseError> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Constructs enclosing the current position, bounded by
+    /// [`MAX_QUERY_DEPTH`].
+    depth: usize,
 }
 
 impl Parser {
@@ -131,7 +145,30 @@ impl Parser {
         }
     }
 
+    /// Steps one nesting level down, or fails at the current token when
+    /// that would exceed [`MAX_QUERY_DEPTH`].  Every recursive re-entry of
+    /// the grammar passes through here; the caller steps back up
+    /// (`self.depth -= 1`) once the level is parsed.
+    fn descend(&mut self) -> Result<(), ParseError> {
+        if self.depth == MAX_QUERY_DEPTH {
+            return Err(self.err(&format!(
+                "expression nested deeper than {MAX_QUERY_DEPTH} levels"
+            )));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// `Expr` one nesting level down: a parenthesized expression, a function
+    /// argument, a predicate.
     fn parse_or(&mut self) -> Result<Expr, ParseError> {
+        self.descend()?;
+        let result = self.parse_or_operands();
+        self.depth -= 1;
+        result
+    }
+
+    fn parse_or_operands(&mut self) -> Result<Expr, ParseError> {
         let mut left = self.parse_and()?;
         while self.eat(&Token::Or) {
             let right = self.parse_and()?;
@@ -255,8 +292,10 @@ impl Parser {
 
     fn parse_unary(&mut self) -> Result<Expr, ParseError> {
         if self.eat(&Token::Minus) {
-            let inner = self.parse_unary()?;
-            Ok(Expr::Neg(Box::new(inner)))
+            self.descend()?;
+            let inner = self.parse_unary();
+            self.depth -= 1;
+            Ok(Expr::Neg(Box::new(inner?)))
         } else {
             self.parse_union()
         }
@@ -817,6 +856,43 @@ mod tests {
         assert!(parse_query("bogus-axis::a").is_err());
         assert!(parse_query("child::comment()").is_err());
         assert!(parse_query("a b").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_instead_of_overflowing_the_stack() {
+        // Thirty thousand levels used to abort the process.
+        for hostile in [
+            "(".repeat(30_000),
+            "-".repeat(30_000),
+            "a[".repeat(30_000),
+            "not(".repeat(30_000),
+        ] {
+            let err = parse_query(&hostile).unwrap_err();
+            // Positioned at the token that opened one level too many.
+            match err {
+                ParseError::Syntax {
+                    token_index,
+                    message,
+                } => {
+                    assert!(token_index >= MAX_QUERY_DEPTH, "{token_index}");
+                    assert!(token_index <= 2 * MAX_QUERY_DEPTH + 2, "{token_index}");
+                    assert!(message.contains("nested deeper than 256"), "{message}");
+                }
+                other => panic!("{other:?}"),
+            }
+        }
+        // Exactly MAX_QUERY_DEPTH enclosing levels still parse...
+        let nest = |open: &str, inner: &str, close: &str, levels: usize| {
+            format!("{}{inner}{}", open.repeat(levels), close.repeat(levels))
+        };
+        let deep = MAX_QUERY_DEPTH;
+        assert_eq!(parse(&nest("(", "7", ")", deep)), Expr::Number(7.0));
+        assert!(parse_query(&nest("a[", "b", "]", deep)).is_ok());
+        assert!(parse_query(&nest("not(", "b", ")", deep)).is_ok());
+        assert!(parse_query(&nest("-", "1", "", deep)).is_ok());
+        // ...and one more does not.
+        assert!(parse_query(&nest("(", "7", ")", deep + 1)).is_err());
+        assert!(parse_query(&nest("-", "1", "", deep + 1)).is_err());
     }
 
     #[test]

@@ -247,9 +247,9 @@
 //!
 //! Backpressure, shutdown and queue behaviour are observable through
 //! [`ServeStats`](serve::ServeStats), the serving-side sibling of
-//! [`CacheStats`](engine::CacheStats).  The non-default `tokio` feature
-//! adds `submit_async`, which awaits queue space instead of blocking —
-//! the entry point meant for async runtimes.
+//! [`CacheStats`](engine::CacheStats).
+//! [`submit_async`](serve::AsyncEngine::submit_async) awaits queue space
+//! instead of blocking — the entry point meant for async runtimes.
 //!
 //! ## Many documents: the catalog
 //!
@@ -485,8 +485,8 @@ pub mod prelude {
     pub use xpeval_core::{
         Bindings, CacheStats, CompileOptions, CompiledQuery, Context, Engine, EngineBuilder,
         EvalError, EvalStats, EvalStrategy, FragmentImpact, FunctionHandler, FunctionRegistry,
-        FunctionSignature, NodeStream, OpIr, OpKind, PlanIr, QueryOutput, ShardStats,
-        SingletonSuccess, StepIr, StreamMode, Value,
+        FunctionSignature, NodeStream, OpIr, OpKind, PlanIr, QueryOutput, ShardStats, StepIr,
+        StreamMode, SuccessTarget, Value,
     };
     pub use xpeval_dom::{
         parse_xml, Axis, AxisSource, Document, DocumentBuilder, EditOutcome, MutationError, NodeId,

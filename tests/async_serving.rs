@@ -585,9 +585,8 @@ fn concurrent_try_submit_storm_accounts_for_every_request() {
     assert!(stats.queue_high_watermark <= 4);
 }
 
-/// The `tokio` feature's async submission: awaits a full queue instead of
-/// failing, still subject to shutdown.
-#[cfg(feature = "tokio")]
+/// Async submission: awaits a full queue instead of failing, still subject
+/// to shutdown.
 #[test]
 fn submit_async_round_trip() {
     let mut rng = StdRng::seed_from_u64(12);

@@ -1,5 +1,5 @@
-//! Deterministic "shape" checks of the complexity claims, using the
-//! evaluators' work counters instead of wall-clock time so they are stable
+//! Deterministic "shape" checks of the complexity claims, using the plan
+//! machines' work counters instead of wall-clock time so they are stable
 //! under CI load.
 //!
 //! * combined complexity: naive work grows geometrically on the blow-up
@@ -12,8 +12,17 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use xpeval::engine::{DpEvaluator, NaiveEvaluator};
+use xpeval::prelude::*;
 use xpeval::workloads::{blowup_document, blowup_query, oscillating_query, random_tree_document};
+
+/// The work counters of one run of `query` on the machine behind `strategy`.
+fn work(doc: &Document, query: &Expr, strategy: EvalStrategy) -> EvalStats {
+    CompiledQuery::from_expr(query.clone())
+        .with_strategy(strategy)
+        .run(doc)
+        .unwrap()
+        .stats
+}
 
 #[test]
 fn naive_work_is_geometric_and_dp_work_is_linear() {
@@ -23,12 +32,8 @@ fn naive_work_is_geometric_and_dp_work_is_linear() {
     let mut dp_work = Vec::new();
     for reps in 1..=6 {
         let query = blowup_query(reps);
-        let mut naive = NaiveEvaluator::new(&doc);
-        naive.evaluate(&query).unwrap();
-        naive_lists.push(naive.stats().max_intermediate_list);
-        let mut dp = DpEvaluator::new(&doc, &query);
-        dp.evaluate().unwrap();
-        dp_work.push(dp.stats().step_context_evaluations);
+        naive_lists.push(work(&doc, &query, EvalStrategy::Naive).max_intermediate_list);
+        dp_work.push(work(&doc, &query, EvalStrategy::ContextValueTable).step_context_evaluations);
     }
     // Naive: the intermediate list multiplies by the fan-out each repetition
     // (from repetition 2 onwards, once the k^m term dominates).
@@ -50,9 +55,7 @@ fn data_complexity_tables_grow_linearly_in_document_size() {
     let sizes = [200usize, 400, 800];
     for &nodes in &sizes {
         let doc = random_tree_document(&mut StdRng::seed_from_u64(10), nodes, &["a", "b", "c"]);
-        let mut dp = DpEvaluator::new(&doc, &query);
-        dp.evaluate().unwrap();
-        entries.push(dp.table_entries());
+        entries.push(work(&doc, &query, EvalStrategy::ContextValueTable).table_entries);
     }
     // Doubling the document should roughly double the number of table
     // entries; allow generous slack (factor in [1.3, 3]).
@@ -65,18 +68,17 @@ fn data_complexity_tables_grow_linearly_in_document_size() {
 #[test]
 fn query_complexity_work_grows_linearly_in_query_size() {
     let doc = random_tree_document(&mut StdRng::seed_from_u64(11), 300, &["a", "b", "c"]);
-    let mut work = Vec::new();
+    let mut steps = Vec::new();
     let lens = [8usize, 16, 32, 64];
     for &len in &lens {
         let query = oscillating_query(len);
-        let mut dp = DpEvaluator::new(&doc, &query);
-        dp.evaluate().unwrap();
-        work.push(dp.stats().step_context_evaluations as f64);
+        let stats = work(&doc, &query, EvalStrategy::ContextValueTable);
+        steps.push(stats.step_context_evaluations as f64);
     }
     // Doubling |Q| should scale the work by roughly 2 (within [1.2, 3.5]).
-    for w in work.windows(2) {
+    for w in steps.windows(2) {
         let ratio = w[1] / w[0];
-        assert!(ratio > 1.2 && ratio < 3.5, "work growth {work:?}");
+        assert!(ratio > 1.2 && ratio < 3.5, "work growth {steps:?}");
     }
 }
 
@@ -85,12 +87,10 @@ fn memoization_beats_naive_on_every_blowup_instance() {
     let doc = blowup_document(4);
     for reps in 3..=7 {
         let query = blowup_query(reps);
-        let mut naive = NaiveEvaluator::new(&doc);
-        naive.evaluate(&query).unwrap();
-        let mut dp = DpEvaluator::new(&doc, &query);
-        dp.evaluate().unwrap();
+        let naive = work(&doc, &query, EvalStrategy::Naive);
+        let dp = work(&doc, &query, EvalStrategy::ContextValueTable);
         assert!(
-            dp.stats().step_context_evaluations < naive.stats().step_context_evaluations,
+            dp.step_context_evaluations < naive.step_context_evaluations,
             "reps={reps}"
         );
     }

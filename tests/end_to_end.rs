@@ -99,10 +99,8 @@ fn full_xpath_queries_fall_back_to_the_dp_engine() {
 
 #[test]
 fn singleton_success_answers_membership_without_materializing() {
-    use xpeval::engine::{Context, SingletonSuccess, SuccessTarget};
     let doc = parse_xml(CATALOG).unwrap();
-    let query = parse_query("//product[review/@rating > 4]/name").unwrap();
-    let checker = SingletonSuccess::new(&doc, &query).unwrap();
+    let query = CompiledQuery::compile("//product[review/@rating > 4]/name").unwrap();
     let ctx = Context::root(&doc);
 
     let hammer_name = doc
@@ -113,11 +111,11 @@ fn singleton_success_answers_membership_without_materializing() {
         .all_elements()
         .find(|&n| doc.name(n) == Some("name") && doc.string_value(n) == "Rake")
         .unwrap();
-    assert!(checker
-        .decide(ctx, &SuccessTarget::Node(hammer_name))
+    assert!(query
+        .decide(&doc, ctx, &SuccessTarget::Node(hammer_name))
         .unwrap());
-    assert!(!checker
-        .decide(ctx, &SuccessTarget::Node(rake_name))
+    assert!(!query
+        .decide(&doc, ctx, &SuccessTarget::Node(rake_name))
         .unwrap());
 }
 
@@ -127,6 +125,10 @@ fn error_paths_are_reported_not_panicked() {
     let engine = Engine::default();
     assert!(engine.evaluate_str(&doc, "//product[").is_err());
     assert!(engine.evaluate_str(&doc, "unknown-function(1)").is_err());
+    // Hostile nesting is a positioned parse error too — it used to overflow
+    // the stack, which aborts the process instead of returning.
+    let err = engine.evaluate_str(&doc, &"(".repeat(30_000)).unwrap_err();
+    assert!(matches!(err, EvalError::Parse { .. }), "{err:?}");
     assert!(parse_xml("<a><b></a>").is_err());
     let core_only = Engine::new(EvalStrategy::CoreXPathLinear);
     assert!(core_only.evaluate_str(&doc, "//product[1]").is_err());

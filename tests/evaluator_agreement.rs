@@ -1,84 +1,92 @@
-//! Cross-evaluator agreement: every evaluation strategy implements the same
+//! Cross-machine agreement: every evaluation strategy implements the same
 //! XPath semantics on the fragments it supports.
 //!
 //! This is the central integration invariant of the reproduction — the
-//! complexity results only make sense if the linear Core XPath evaluator,
-//! the context-value-table evaluator, the naive baseline, the
-//! Singleton-Success checker and the parallel evaluator all agree.
+//! complexity results only make sense if the linear Core XPath machine, the
+//! context-value-table machine, the naive baseline, the Singleton-Success
+//! checker and the parallel loop all agree, with each other and with the
+//! AST-level reference evaluator.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use xpeval::engine::{
-    Context, CoreXPathEvaluator, DpEvaluator, NaiveEvaluator, ParallelEvaluator, SingletonSuccess,
-};
+use xpeval::engine::reference::ReferenceEvaluator;
 use xpeval::prelude::*;
 use xpeval::workloads::{
     auction_site_document, core_xpath_query_corpus, pwf_query_corpus, random_core_query,
     random_pf_query, random_tree_document, wide_document,
 };
 
-fn dp_nodes<S: AxisSource + ?Sized>(src: &S, query: &Expr) -> Vec<NodeId> {
-    DpEvaluator::new(src, query)
-        .evaluate()
-        .unwrap()
-        .into_nodes()
-        .unwrap()
-}
+const CVT: EvalStrategy = EvalStrategy::ContextValueTable;
+const NAIVE: EvalStrategy = EvalStrategy::Naive;
+const LINEAR: EvalStrategy = EvalStrategy::CoreXPathLinear;
+const SS: EvalStrategy = EvalStrategy::SingletonSuccess;
 
 const ALL_STRATEGIES: [EvalStrategy; 5] = [
-    EvalStrategy::ContextValueTable,
-    EvalStrategy::Naive,
-    EvalStrategy::CoreXPathLinear,
+    CVT,
+    NAIVE,
+    LINEAR,
     EvalStrategy::Parallel { threads: 2 },
-    EvalStrategy::SingletonSuccess,
+    SS,
 ];
 
-/// The pre-IR evaluation path: the public AST-walking evaluator behind each
-/// strategy, invoked directly on the expression tree.
-fn ast_walk(doc: &Document, query: &Expr, strategy: EvalStrategy) -> Result<Value, EvalError> {
-    match strategy {
-        EvalStrategy::ContextValueTable => DpEvaluator::new(doc, query).evaluate(),
-        EvalStrategy::Naive => NaiveEvaluator::new(doc).evaluate(query),
-        EvalStrategy::CoreXPathLinear => CoreXPathEvaluator::new(doc)
-            .evaluate_query(query)
-            .map(Value::NodeSet),
-        EvalStrategy::Parallel { threads } => ParallelEvaluator::new(doc, threads).evaluate(query),
-        EvalStrategy::SingletonSuccess => SingletonSuccess::new(doc, query)
-            .and_then(|ss| ss.node_set(Context::root(doc)).map(Value::NodeSet)),
-    }
+fn plan(query: &Expr, strategy: EvalStrategy) -> CompiledQuery {
+    CompiledQuery::from_expr(query.clone()).with_strategy(strategy)
 }
 
-/// Lowering must be semantics-preserving *per strategy*: for every query and
-/// every strategy, the [`CompiledQuery`] path (lower to [`PlanIr`], execute
-/// the flat program) and the AST walk either produce the same value or
-/// reject the query in the same way (a strategy that refuses a fragment on
-/// the AST must refuse its lowering too).
-fn assert_ir_matches_ast_walk(doc: &Document, prepared: &PreparedDocument, query: &Expr) {
+/// The node set `query` selects from the root, on one machine.
+fn select(doc: &Document, query: &Expr, strategy: EvalStrategy) -> Vec<NodeId> {
+    let out = plan(query, strategy).run(doc).unwrap();
+    out.value.into_nodes().unwrap()
+}
+
+/// [`select`] through the prepared indexes.
+fn select_prepared(doc: &PreparedDocument, query: &Expr, strategy: EvalStrategy) -> Vec<NodeId> {
+    let out = plan(query, strategy).run_prepared(doc).unwrap();
+    out.value.into_nodes().unwrap()
+}
+
+/// The differential check: for every strategy, on a plain and on a prepared
+/// document, the lowered plan either computes exactly what the AST-level
+/// reference evaluator computes, or the machine rejects the query — and it
+/// rejects precisely when the plan's precomputed admission verdict says so,
+/// identically on both sources.
+fn assert_machines_match_reference(doc: &Document, prepared: &PreparedDocument, query: &Expr) {
+    let expected = ReferenceEvaluator::new(doc).evaluate(query).unwrap();
     for strategy in ALL_STRATEGIES {
-        let compiled = CompiledQuery::from_expr(query.clone()).with_strategy(strategy);
-        let via_ir = compiled.run(doc).map(|out| out.value);
-        let via_prepared = compiled.run_prepared(prepared).map(|out| out.value);
-        let ast = ast_walk(doc, query, strategy);
-        match (via_ir, via_prepared, ast) {
-            (Ok(ir), Ok(pir), Ok(ast)) => {
-                assert_eq!(ir, ast, "{} via {strategy:?}", compiled.source());
-                assert_eq!(pir, ast, "{} prepared via {strategy:?}", compiled.source());
+        let compiled = plan(query, strategy);
+        let ir = compiled.ir();
+        let admitted = match strategy {
+            EvalStrategy::ContextValueTable | EvalStrategy::Naive => true,
+            EvalStrategy::CoreXPathLinear => {
+                ir.linear_check().is_ok() && ir.op(ir.root()).kind.is_nodeset()
             }
-            (Err(_), Err(_), Err(_)) => {}
-            (ir, pir, ast) => panic!(
-                "lowering/AST divergence on {} via {strategy:?}: ir={ir:?} prepared={pir:?} ast={ast:?}",
-                compiled.source()
-            ),
+            EvalStrategy::Parallel { .. } | EvalStrategy::SingletonSuccess => ir.ss_check().is_ok(),
+        };
+        let plain = compiled.run(doc).map(|out| out.value);
+        let fast = compiled.run_prepared(prepared).map(|out| out.value);
+        let source = compiled.source();
+        if admitted {
+            assert_eq!(plain.as_ref(), Ok(&expected), "{source} via {strategy:?}");
+            assert_eq!(
+                fast.as_ref(),
+                Ok(&expected),
+                "{source} prepared via {strategy:?}"
+            );
+        } else {
+            assert!(
+                matches!(plain, Err(EvalError::UnsupportedFragment { .. })),
+                "{source} via {strategy:?}: {plain:?}"
+            );
+            assert_eq!(fast, plain, "{source} prepared via {strategy:?}");
         }
     }
 }
 
-/// Lowering→eval ≡ AST walk across all five strategies × both query
-/// corpora, on the auction workload and a random tree (direct and prepared
-/// sources both dispatch through the IR).
+/// All five strategies × both query corpora against the reference, on the
+/// auction workload and a random tree, through direct and prepared sources.
 #[test]
-fn lowered_ir_matches_ast_walk_on_both_corpora() {
+fn machines_match_the_reference_on_both_corpora() {
     let docs = [
         auction_site_document(&mut StdRng::seed_from_u64(7), 20),
         random_tree_document(
@@ -94,7 +102,7 @@ fn lowered_ir_matches_ast_walk_on_both_corpora() {
     for doc in &docs {
         let prepared = PreparedDocument::new(doc.clone());
         for (_, query) in &corpus {
-            assert_ir_matches_ast_walk(doc, &prepared, query);
+            assert_machines_match_reference(doc, &prepared, query);
         }
     }
 }
@@ -111,15 +119,13 @@ fn corpus_agreement_on_core_xpath_queries() {
     ];
     for doc in &docs {
         for (name, query) in core_xpath_query_corpus() {
-            let dp = dp_nodes(doc, &query);
-            let naive = NaiveEvaluator::new(doc)
-                .evaluate(&query)
-                .unwrap()
-                .into_nodes()
-                .unwrap();
-            let linear = CoreXPathEvaluator::new(doc).evaluate_query(&query).unwrap();
-            assert_eq!(dp, naive, "naive disagrees on {name}");
-            assert_eq!(dp, linear, "linear evaluator disagrees on {name}");
+            let dp = select(doc, &query, CVT);
+            assert_eq!(dp, select(doc, &query, NAIVE), "naive disagrees on {name}");
+            assert_eq!(
+                dp,
+                select(doc, &query, LINEAR),
+                "linear machine disagrees on {name}"
+            );
         }
     }
 }
@@ -127,20 +133,15 @@ fn corpus_agreement_on_core_xpath_queries() {
 #[test]
 fn corpus_agreement_on_pwf_queries() {
     let doc = auction_site_document(&mut StdRng::seed_from_u64(2), 40);
-    let ctx = Context::root(&doc);
     for (name, query) in pwf_query_corpus() {
-        let dp = dp_nodes(&doc, &query);
-        let ss = SingletonSuccess::new(&doc, &query)
-            .unwrap()
-            .node_set(ctx)
-            .unwrap();
-        let par = ParallelEvaluator::new(&doc, 3)
-            .evaluate(&query)
-            .unwrap()
-            .into_nodes()
-            .unwrap();
-        assert_eq!(dp, ss, "singleton-success disagrees on {name}");
-        assert_eq!(dp, par, "parallel evaluator disagrees on {name}");
+        let dp = select(&doc, &query, CVT);
+        assert_eq!(
+            dp,
+            select(&doc, &query, SS),
+            "singleton-success disagrees on {name}"
+        );
+        let par = select(&doc, &query, EvalStrategy::Parallel { threads: 3 });
+        assert_eq!(dp, par, "parallel loop disagrees on {name}");
     }
 }
 
@@ -323,63 +324,57 @@ fn compile_time_call_validation() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random PF queries over random documents: naive, DP and the linear
-    /// evaluator agree.
+    /// Random PF queries over random documents: the naive, table and linear
+    /// machines agree.
     #[test]
     fn random_pf_queries_agree(seed in 0u64..5000, len in 1usize..7, nodes in 5usize..120) {
         let mut rng = StdRng::seed_from_u64(seed);
         let doc = random_tree_document(&mut rng, nodes, &["a", "b", "c"]);
         let query = random_pf_query(&mut rng, len, &["a", "b", "c"]);
-        let dp = dp_nodes(&doc, &query);
-        let naive = NaiveEvaluator::new(&doc).evaluate(&query).unwrap().into_nodes().unwrap();
-        let linear = CoreXPathEvaluator::new(&doc).evaluate_query(&query).unwrap();
-        prop_assert_eq!(&dp, &naive);
-        prop_assert_eq!(&dp, &linear);
+        let dp = select(&doc, &query, CVT);
+        prop_assert_eq!(&dp, &select(&doc, &query, NAIVE));
+        prop_assert_eq!(&dp, &select(&doc, &query, LINEAR));
     }
 
-    /// Random Core XPath queries (with negation): DP and the linear
-    /// evaluator agree.
+    /// Random Core XPath queries (with negation): the table and linear
+    /// machines agree.
     #[test]
     fn random_core_queries_agree(seed in 0u64..5000, depth in 0usize..4, nodes in 5usize..120) {
         let mut rng = StdRng::seed_from_u64(seed);
         let doc = random_tree_document(&mut rng, nodes, &["a", "b", "c", "d"]);
         let query = random_core_query(&mut rng, depth, &["a", "b", "c", "d"]);
-        let dp = dp_nodes(&doc, &query);
-        let linear = CoreXPathEvaluator::new(&doc).evaluate_query(&query).unwrap();
-        prop_assert_eq!(&dp, &linear);
+        prop_assert_eq!(&select(&doc, &query, CVT), &select(&doc, &query, LINEAR));
     }
 
     /// Random pWF queries: the Singleton-Success checker and the parallel
-    /// evaluator agree with the DP evaluator.
+    /// loop agree with the table machine.
     #[test]
     fn random_pwf_queries_agree(seed in 0u64..5000, nodes in 5usize..80) {
         let mut rng = StdRng::seed_from_u64(seed);
         let doc = random_tree_document(&mut rng, nodes, &["a", "b"]);
         let query = xpeval::workloads::random_pwf_query(&mut rng, &["a", "b"]);
-        let dp = dp_nodes(&doc, &query);
-        let ctx = Context::root(&doc);
-        let ss = SingletonSuccess::new(&doc, &query).unwrap().node_set(ctx).unwrap();
-        let par = ParallelEvaluator::new(&doc, 2).evaluate(&query).unwrap().into_nodes().unwrap();
-        prop_assert_eq!(&dp, &ss);
-        prop_assert_eq!(&dp, &par);
+        let dp = select(&doc, &query, CVT);
+        prop_assert_eq!(&dp, &select(&doc, &query, SS));
+        prop_assert_eq!(&dp, &select(&doc, &query, EvalStrategy::Parallel { threads: 2 }));
     }
 
-    /// The naive evaluator and the DP evaluator agree on everything the
-    /// naive evaluator can finish (they only differ in cost, never in the
-    /// result).
+    /// The naive machine, the AST-level reference and the table machine agree
+    /// on everything the naive ones can finish (they only differ in cost,
+    /// never in the result).
     #[test]
     fn naive_agrees_when_it_terminates(seed in 0u64..5000, depth in 0usize..3, nodes in 5usize..60) {
         let mut rng = StdRng::seed_from_u64(seed);
         let doc = random_tree_document(&mut rng, nodes, &["a", "b", "c"]);
         let query = random_core_query(&mut rng, depth, &["a", "b", "c"]);
-        let dp = dp_nodes(&doc, &query);
-        let naive = NaiveEvaluator::new(&doc).evaluate(&query).unwrap().into_nodes().unwrap();
-        prop_assert_eq!(dp, naive);
+        let dp = select(&doc, &query, CVT);
+        prop_assert_eq!(&dp, &select(&doc, &query, NAIVE));
+        let reference = ReferenceEvaluator::new(&doc).evaluate(&query).unwrap();
+        prop_assert_eq!(Value::NodeSet(dp), reference);
     }
 
     /// Prepared-vs-unprepared agreement for the newly indexed axes
-    /// (`child::tag`, `following`, `preceding`) across the evaluators that
-    /// support them: each evaluator, fed the same query, must compute the
+    /// (`child::tag`, `following`, `preceding`) across the machines that
+    /// support them: each machine, fed the same query, must compute the
     /// same node set from a `PreparedDocument` (indexed fast paths) as from
     /// the bare `Document` (tree walks).
     #[test]
@@ -397,33 +392,33 @@ proptest! {
             "//c[not(preceding::a)]",
         ] {
             let query = parse_query(src).unwrap();
-            let reference = dp_nodes(&doc, &query);
+            let reference = select(&doc, &query, CVT);
             prop_assert_eq!(
-                &dp_nodes(&prepared, &query), &reference, "dp prepared vs unprepared on {}", src
+                &select_prepared(&prepared, &query, CVT), &reference,
+                "dp prepared vs unprepared on {}", src
             );
-            let linear_plain = CoreXPathEvaluator::new(&doc).evaluate_query(&query).unwrap();
-            let linear_fast = CoreXPathEvaluator::new(&prepared).evaluate_query(&query).unwrap();
+            let linear_plain = select(&doc, &query, LINEAR);
+            let linear_fast = select_prepared(&prepared, &query, LINEAR);
             prop_assert_eq!(&linear_plain, &reference, "linear vs dp on {}", src);
             prop_assert_eq!(&linear_fast, &reference, "linear prepared on {}", src);
-            let naive = NaiveEvaluator::new(&prepared)
-                .evaluate(&query)
-                .unwrap()
-                .into_nodes()
-                .unwrap();
+            let naive = select_prepared(&prepared, &query, NAIVE);
             prop_assert_eq!(&naive, &reference, "naive prepared on {}", src);
+            // The AST-level reference reads the same indexes through
+            // `AxisSource`.
+            let ast = ReferenceEvaluator::new(&prepared).evaluate(&query).unwrap();
+            prop_assert_eq!(ast, Value::NodeSet(reference), "reference prepared on {}", src);
         }
     }
 
     /// Positional child predicates through the full pWF pipeline: the
-    /// Singleton-Success checker and the parallel evaluator agree with the
-    /// DP evaluator on prepared documents (candidate pruning + indexed
-    /// steps must not change any answer).
+    /// Singleton-Success checker and the parallel loop agree with the table
+    /// machine on prepared documents (candidate pruning + indexed steps
+    /// must not change any answer).
     #[test]
     fn prepared_positional_and_pruning_agree(seed in 0u64..5000, nodes in 5usize..60, k in 1usize..4) {
         let mut rng = StdRng::seed_from_u64(seed);
         let doc = random_tree_document(&mut rng, nodes, &["a", "b"]);
         let prepared = PreparedDocument::new(doc.clone());
-        let ctx = Context::root(&doc);
         for src in [
             format!("//a/child::b[{k}]"),
             format!("//a[position() = {k}]"),
@@ -431,29 +426,22 @@ proptest! {
             "//a/child::node()[last()]".to_string(),
         ] {
             let query = parse_query(&src).unwrap();
-            let reference = dp_nodes(&doc, &query);
+            let reference = select(&doc, &query, CVT);
             prop_assert_eq!(
-                &dp_nodes(&prepared, &query), &reference, "dp prepared on {}", src
+                &select_prepared(&prepared, &query, CVT), &reference, "dp prepared on {}", src
             );
-            let ss = SingletonSuccess::new(&prepared, &query)
-                .unwrap()
-                .node_set(ctx)
-                .unwrap();
+            let ss = select_prepared(&prepared, &query, SS);
             prop_assert_eq!(&ss, &reference, "singleton-success prepared on {}", src);
-            let par = ParallelEvaluator::new(&prepared, 2)
-                .evaluate(&query)
-                .unwrap()
-                .into_nodes()
-                .unwrap();
+            let par = select_prepared(&prepared, &query, EvalStrategy::Parallel { threads: 2 });
             prop_assert_eq!(&par, &reference, "parallel prepared on {}", src);
         }
     }
 
-    /// Random Core XPath and pWF queries through every strategy: the
-    /// lowered-IR path and the AST walk agree (or reject identically) on
-    /// direct and prepared sources alike.
+    /// Random Core XPath and pWF queries through every strategy: the plan
+    /// machines agree with the reference (or reject as their admission
+    /// verdict says) on direct and prepared sources alike.
     #[test]
-    fn lowered_ir_matches_ast_walk_on_random_queries(
+    fn machines_match_the_reference_on_random_queries(
         seed in 0u64..5000, depth in 0usize..4, nodes in 5usize..100,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -465,7 +453,7 @@ proptest! {
             xpeval::workloads::random_pwf_query(&mut rng, &tags),
         ];
         for query in &queries {
-            assert_ir_matches_ast_walk(&doc, &prepared, query);
+            assert_machines_match_reference(&doc, &prepared, query);
         }
     }
 
@@ -525,8 +513,8 @@ proptest! {
 /// fills the counters that are meaningful for it and leaves the rest at
 /// zero, exactly as the table in `xpeval-core/src/stats.rs` documents.
 /// This is what makes the paper's complexity separations *observable*
-/// through `QueryOutput::stats` without wall-clock timing — so the IR
-/// executor must never silently stop filling one of these.
+/// through `QueryOutput::stats` without wall-clock timing — so the plan
+/// machines must never silently stop filling one of these.
 #[test]
 fn work_counters_follow_the_per_strategy_protocol() {
     let mut rng = StdRng::seed_from_u64(7);
