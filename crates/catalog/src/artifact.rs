@@ -4,17 +4,15 @@
 //! A [`CompiledQuery`] is document-independent by design; every prepared
 //! evaluation therefore re-derives the document-*dependent* parts of the
 //! plan on each call — resolve the final step's name tests against the tag
-//! index (string hashes), read off the candidate bound, and run the
-//! source-aware strategy selection (`strategy_for_source`).  For a catalog
+//! index (string hashes) and read off the candidate bound.  For a catalog
 //! serving the same (query, document) pairs over and over, that work is
 //! pure amortizable overhead.
 //!
 //! [`PlanArtifact`] materializes it once per (query, document, generation):
 //!
-//! * the **pinned strategy** — the `strategy_for_source` choice is baked
-//!   into a specialized copy of the plan
-//!   ([`CompiledQuery::specialize_for_source`]), so repeated runs skip
-//!   selectivity probing and strategy selection entirely;
+//! * the **pinned strategy** — the plan's strategy choice is baked into a
+//!   specialized copy of the plan
+//!   ([`CompiledQuery::specialize_for_source`]);
 //! * the **resolved tag ids** — the query's final-step name tests mapped to
 //!   the document's interned [`TagId`]s
 //!   ([`xpeval_dom::PreparedDocument::tag_id`]), paying those string hashes

@@ -17,8 +17,8 @@
 //!
 //! The document side mirrors the split: [`CompiledQuery::run_prepared`]
 //! evaluates against a [`PreparedDocument`] (axis indexes built once per
-//! document), with the strategy re-tuned by document size and tag-index
-//! selectivity ([`CompiledQuery::strategy_for_source`]), and
+//! document) under the same plan — the machine is chosen from the query's
+//! fragment alone, never from the document — and
 //! [`CompiledQuery::run_streaming`] yields node-set results through a
 //! [`NodeStream`] instead of materializing them.
 
@@ -47,8 +47,6 @@ pub struct CompileOptions {
     /// Fixed strategy, or `None` to let the classifier pick the one the
     /// paper recommends for the query's fragment.
     pub strategy: Option<EvalStrategy>,
-    /// Worker threads used when the plan is [`EvalStrategy::Parallel`].
-    pub threads: usize,
     /// Apply the semantics-preserving Remark 5.2 normalization (merge
     /// iterated predicates) before classification.
     pub normalize: bool,
@@ -62,16 +60,15 @@ impl Default for CompileOptions {
     fn default() -> Self {
         CompileOptions {
             strategy: None,
-            threads: default_threads(),
             normalize: true,
             registry: FunctionRegistry::empty_shared(),
         }
     }
 }
 
-/// The number of worker threads used when none is configured.  The
-/// `available_parallelism` syscall is made once and cached: compilation is
-/// on the serving hot path when a plan cache misses.
+/// The machine's available parallelism, for callers sizing a worker pool
+/// (`xpeval-serve`) or an explicit [`EvalStrategy::Parallel`] pin.  The
+/// `available_parallelism` syscall is made once and cached.
 pub fn default_threads() -> usize {
     static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *THREADS.get_or_init(|| {
@@ -81,78 +78,19 @@ pub fn default_threads() -> usize {
     })
 }
 
-/// The strategy the paper recommends for a classified query: linear
-/// set-at-a-time evaluation for the Core XPath fragments, parallel
-/// Singleton-Success evaluation for the LOGCFL fragments (Remark 5.6), and
-/// the polynomial context-value-table algorithm for everything else.
-pub fn recommended_strategy(report: &FragmentReport, threads: usize) -> EvalStrategy {
-    match report.fragment {
-        Fragment::PF | Fragment::PositiveCoreXPath | Fragment::CoreXPath => {
-            EvalStrategy::CoreXPathLinear
-        }
-        Fragment::PWF | Fragment::PXPath => EvalStrategy::Parallel { threads },
-        _ => EvalStrategy::ContextValueTable,
-    }
-}
-
-/// Documents smaller than this (in total nodes) are evaluated sequentially
-/// even when the fragment recommendation is the parallel plan: below it the
-/// per-thread spawn/merge overhead exceeds the Theorem 5.5 loop itself.
-/// First refinement of the ROADMAP cost model — query features pick the
-/// algorithm family, document size picks the parallelism degree.
-pub const PARALLEL_MIN_NODES: usize = 512;
-
-/// Queries whose name-bounded candidate universe (tag-index selectivity,
-/// [`crate::steps::result_size_bound`]) is below this many nodes are
-/// evaluated sequentially even on large documents: the parallel plan's
-/// workers would each decide only a handful of plausible candidates, so
-/// spawn/merge overhead dominates.  Second refinement of the cost model —
-/// per-axis selectivity counts join document size in the plan choice.
-pub const PARALLEL_MIN_CANDIDATES: usize = 128;
-
-/// The size-degrade rule itself: a parallel plan on a document below
-/// [`PARALLEL_MIN_NODES`] nodes becomes sequential Singleton-Success;
-/// everything else is unchanged.  The rule behind
-/// [`CompiledQuery::strategy_for`].
-fn degrade_for_size(strategy: EvalStrategy, node_count: usize) -> EvalStrategy {
-    match strategy {
-        EvalStrategy::Parallel { .. } if node_count < PARALLEL_MIN_NODES => {
-            EvalStrategy::SingletonSuccess
-        }
-        strategy => strategy,
-    }
-}
-
-/// The selectivity-aware degrade rule: [`degrade_for_size`] plus the tag
-/// index — an auto-selected parallel plan falls back to sequential
-/// Singleton-Success when the document is small **or** the query's
-/// name-bounded candidate universe is below [`PARALLEL_MIN_CANDIDATES`].
-/// With an unindexed source the selectivity signal is unavailable and only
-/// the size rule applies.
-///
-/// The rule also consults [`xpeval_dom::SourceCapabilities`]: a backend
-/// that does not publish a document-order table
-/// (`capabilities().order_table == false`) degrades the parallel plan
-/// outright — its workers would each rebuild document order from the tree,
-/// turning the parallel speedup into repeated O(n) walks.  The degrade is
-/// *explicit* (a different strategy in the artifact, observable through
-/// [`CompiledQuery::strategy_for_source`]) rather than a silent slow path.
-fn degrade_for_source<S: AxisSource + ?Sized>(
-    strategy: EvalStrategy,
-    expr: &Expr,
-    src: &S,
-) -> EvalStrategy {
-    match degrade_for_size(strategy, src.node_count()) {
-        s @ EvalStrategy::Parallel { .. } => {
-            if !src.capabilities().order_table {
-                return EvalStrategy::SingletonSuccess;
-            }
-            match crate::steps::result_size_bound(expr, src) {
-                Some(bound) if bound < PARALLEL_MIN_CANDIDATES => EvalStrategy::SingletonSuccess,
-                _ => s,
-            }
-        }
-        s => s,
+/// The machine a classified query runs on when nothing is pinned: the
+/// linear set-at-a-time algorithm for the Core XPath fragments
+/// (Proposition 2.7) and the context-value-table machine, evaluating
+/// position-free steps set-at-a-time, for everything above them.  The
+/// LOGCFL membership of pWF/pXPath (Theorems 5.5/6.2) is a statement about
+/// *parallel* complexity; its per-candidate Singleton-Success procedure
+/// (Lemma 5.4) stays reachable as an explicit pin and behind
+/// [`CompiledQuery::decide`], never as a sequential plan.
+pub fn recommended_strategy(report: &FragmentReport) -> EvalStrategy {
+    if report.fragment <= Fragment::CoreXPath {
+        EvalStrategy::CoreXPathLinear
+    } else {
+        EvalStrategy::ContextValueTable
     }
 }
 
@@ -190,10 +128,6 @@ pub struct CompiledQuery {
     expr: Expr,
     report: FragmentReport,
     plan: EvalStrategy,
-    /// True when `plan` came from the automatic recommendation (as opposed
-    /// to an explicit override); only auto plans are re-tuned by document
-    /// size on the prepared paths.
-    auto_plan: bool,
     /// The flat instruction form every run path executes ([`crate::exec`]);
     /// lowered once at compile time and shared by reference across clones,
     /// specializations and catalog artifacts.
@@ -249,7 +183,6 @@ impl PartialEq for CompiledQuery {
             && self.expr == other.expr
             && self.report == other.report
             && self.plan == other.plan
-            && self.auto_plan == other.auto_plan
             && self.ir == other.ir
             && self.variables == other.variables
             && Arc::ptr_eq(&self.registry, &other.registry)
@@ -258,7 +191,7 @@ impl PartialEq for CompiledQuery {
 
 impl CompiledQuery {
     /// Compiles a query string with default options: automatic strategy
-    /// selection and all available threads.
+    /// selection.
     pub fn compile(source: &str) -> Result<Self, EvalError> {
         Self::compile_with(source, &CompileOptions::default())
     }
@@ -333,17 +266,15 @@ impl CompiledQuery {
         let ir = PlanIr::lower_with_registry(&expr, &report, &registry);
         let lower_nanos = lower_started.elapsed().as_nanos() as u64;
         let variables = referenced_variables(&expr);
-        let auto_plan = options.strategy.is_none();
         let plan = options
             .strategy
-            .unwrap_or_else(|| recommended_strategy(&report, options.threads.max(1)));
+            .unwrap_or_else(|| recommended_strategy(&report));
         let compile_nanos = (started.elapsed().as_nanos() as u64).saturating_sub(lower_nanos);
         CompiledQuery {
             source,
             expr,
             report,
             plan,
-            auto_plan,
             ir,
             registry,
             variables,
@@ -506,7 +437,8 @@ impl CompiledQuery {
             fragment,
             self.lower_nanos,
         ));
-        for id in 0..ops as u32 {
+        let routes = self.ir.route_labels();
+        for (id, route) in (0..ops as u32).zip(routes) {
             let (calls, candidates_in, candidates_out, nanos) = trace.cell(id);
             spans.push(TraceSpan {
                 kind: SpanKind::Op,
@@ -516,6 +448,7 @@ impl CompiledQuery {
                 calls,
                 candidates_in,
                 candidates_out,
+                route,
                 nanos,
             });
         }
@@ -566,54 +499,51 @@ impl CompiledQuery {
         self.plan
     }
 
+    /// The plan in words: `fragment → machine`, then one line per location
+    /// step with the route lowering chose for it and for its predicates
+    /// ([`PlanIr::explain`]) — what the table machine will do, before any
+    /// document is seen.
+    ///
+    /// ```
+    /// use xpeval_core::CompiledQuery;
+    ///
+    /// let q = CompiledQuery::compile("//person[starts-with(@id, 'p1')]/name").unwrap();
+    /// assert_eq!(
+    ///     q.explain(),
+    ///     "pXPath → ContextValueTable\n  \
+    ///      descendant::person  set, filter starts-with(@id, 'p1') in place\n  \
+    ///      child::name  set\n"
+    /// );
+    /// ```
+    pub fn explain(&self) -> String {
+        format!(
+            "{} → {:?}\n{}",
+            self.report.fragment,
+            self.plan,
+            self.ir.explain()
+        )
+    }
+
     /// The same compiled query with a different strategy; classification is
-    /// not redone.  The explicit choice is final: size-based re-tuning on
-    /// the prepared paths is disabled.
+    /// not redone.
     pub fn with_strategy(mut self, strategy: EvalStrategy) -> Self {
         self.plan = strategy;
-        self.auto_plan = false;
         self
     }
 
-    /// The strategy that will run against a document of `node_count` nodes:
-    /// the compiled plan, except that an automatically selected parallel
-    /// plan degrades to sequential Singleton-Success below
-    /// [`PARALLEL_MIN_NODES`].
-    pub fn strategy_for(&self, node_count: usize) -> EvalStrategy {
-        if self.auto_plan {
-            degrade_for_size(self.plan, node_count)
-        } else {
-            self.plan
-        }
+    /// The strategy that will run against a concrete document source —
+    /// the plan's own choice ([`CompiledQuery::strategy`]): the machine is
+    /// picked from the query's fragment, whatever the document's size,
+    /// indexes or capabilities.  Every `*_prepared` entry point dispatches
+    /// through this.
+    pub fn strategy_for_source<S: AxisSource + ?Sized>(&self, _src: &S) -> EvalStrategy {
+        self.plan
     }
 
-    /// The strategy that will run against a concrete document source: the
-    /// [`CompiledQuery::strategy_for`] size rule plus, when the source
-    /// carries a tag index, the selectivity rule — an auto parallel plan
-    /// whose name-bounded candidate universe is below
-    /// [`PARALLEL_MIN_CANDIDATES`] degrades to sequential
-    /// Singleton-Success.  This is what every `*_prepared` entry point
-    /// dispatches through.
-    pub fn strategy_for_source<S: AxisSource + ?Sized>(&self, src: &S) -> EvalStrategy {
-        if self.auto_plan {
-            degrade_for_source(self.plan, &self.expr, src)
-        } else {
-            self.plan
-        }
-    }
-
-    /// A document-specialized copy of this plan: the strategy the
-    /// source-aware cost model would pick on every run
-    /// ([`CompiledQuery::strategy_for_source`]) is computed once and pinned
-    /// as the copy's fixed strategy — running the specialized plan skips
-    /// selectivity probing and strategy selection entirely.  (Name tests
-    /// need no per-document pinning: the shared [`PlanIr`] already carries
-    /// workspace-global [`xpeval_dom::TagId`]s.)
-    ///
-    /// The pinned choice is valid for exactly the document it was made
-    /// against (tag counts and node count are baked in); re-specialize when
-    /// the document is replaced or structurally edited.  This is the plan
-    /// half of a catalog's (query × document) artifact.
+    /// A copy of this plan with its strategy choice pinned as an explicit
+    /// one — the plan half of a catalog's (query × document) artifact.
+    /// (Name tests need no per-document pinning either: the shared
+    /// [`PlanIr`] already carries workspace-global [`xpeval_dom::TagId`]s.)
     pub fn specialize_for_source<S: AxisSource + ?Sized>(&self, src: &S) -> CompiledQuery {
         self.clone().with_strategy(self.strategy_for_source(src))
     }
@@ -625,8 +555,7 @@ impl CompiledQuery {
 
     /// Evaluates against a prepared document from the canonical root
     /// context: axis enumeration and name tests are answered from the
-    /// prepare-once indexes, and the strategy is re-tuned by document size
-    /// ([`CompiledQuery::strategy_for`]).
+    /// prepare-once indexes.
     pub fn run_prepared(&self, doc: &PreparedDocument) -> Result<QueryOutput, EvalError> {
         self.run_prepared_with_context(doc, Context::root(doc.document()))
     }
@@ -681,9 +610,7 @@ impl CompiledQuery {
         })
     }
 
-    /// [`CompiledQuery::run_bound`] over a prepared document (strategy
-    /// re-tuned by document size and selectivity, exactly like
-    /// [`CompiledQuery::run_prepared`]).
+    /// [`CompiledQuery::run_bound`] over a prepared document.
     pub fn run_prepared_bound(
         &self,
         doc: &PreparedDocument,
@@ -720,8 +647,7 @@ impl CompiledQuery {
     }
 
     /// [`CompiledQuery::run_streaming`] over a prepared document: the
-    /// stream borrows the precomputed document-order table and the strategy
-    /// is re-tuned by document size.
+    /// stream borrows the precomputed document-order table.
     pub fn run_streaming_prepared<'s>(
         &'s self,
         doc: &'s PreparedDocument,
@@ -821,8 +747,7 @@ impl CompiledQuery {
         self.run_many_on(doc, self.plan, contexts, self.base_env())
     }
 
-    /// [`CompiledQuery::run_many`] over a prepared document (strategy
-    /// re-tuned by document size).
+    /// [`CompiledQuery::run_many`] over a prepared document.
     pub fn run_many_prepared(
         &self,
         doc: &PreparedDocument,
@@ -1045,29 +970,26 @@ mod tests {
         let cases = [
             ("/a/b/c", EvalStrategy::CoreXPathLinear),
             ("//a[not(child::b)]", EvalStrategy::CoreXPathLinear),
-            (
-                "//a[position() = last()]",
-                EvalStrategy::Parallel { threads: 3 },
-            ),
+            // pWF and pXPath: the table machine — Singleton-Success is the
+            // Lemma 5.4 decision procedure, reachable by pin only.
+            ("//a[position() = last()]", EvalStrategy::ContextValueTable),
+            ("//a[@id = 'x']", EvalStrategy::ContextValueTable),
             ("count(//a) > 2", EvalStrategy::ContextValueTable),
         ];
-        let opts = CompileOptions {
-            threads: 3,
-            ..CompileOptions::default()
-        };
         for (src, plan) in cases {
-            let q = CompiledQuery::compile_with(src, &opts).unwrap();
+            let q = CompiledQuery::compile(src).unwrap();
             assert_eq!(q.strategy(), plan, "{src}");
         }
     }
 
     #[test]
-    fn normalization_can_lower_the_fragment_and_the_plan() {
+    fn normalization_can_lower_the_fragment() {
         // Iterated predicates are forbidden in pXPath (Definition 6.1,
         // restriction 1), so the raw query sits in full XPath; the
         // Remark 5.2 merge turns them into a single conjunction, which
-        // drops the query into pXPath and unlocks the parallel plan.
-        let src = "//a[@x = 'v'][child::b]";
+        // drops the query into pXPath — admitting it to the Lemma 5.4
+        // decision procedure — without changing the answer.
+        let src = "//book[@year = '2003'][child::cite]";
         let raw = CompiledQuery::compile_with(
             src,
             &CompileOptions {
@@ -1077,10 +999,20 @@ mod tests {
         )
         .unwrap();
         assert_eq!(raw.fragment(), Fragment::XPath);
-        assert_eq!(raw.strategy(), EvalStrategy::ContextValueTable);
+        assert!(raw.ir().ss_check().is_err());
         let merged = CompiledQuery::compile(src).unwrap();
         assert_eq!(merged.fragment(), Fragment::PXPath);
-        assert!(matches!(merged.strategy(), EvalStrategy::Parallel { .. }));
+        assert!(merged.ir().ss_check().is_ok());
+        // Both run on the table machine and agree with the pinned
+        // Singleton-Success run of the merged form.
+        assert_eq!(raw.strategy(), EvalStrategy::ContextValueTable);
+        assert_eq!(merged.strategy(), EvalStrategy::ContextValueTable);
+        let doc = parse_xml(BOOKS).unwrap();
+        let expected = raw.run(&doc).unwrap().value;
+        assert_eq!(expected.expect_nodes().len(), 1);
+        assert_eq!(merged.run(&doc).unwrap().value, expected);
+        let decided = merged.with_strategy(EvalStrategy::SingletonSuccess);
+        assert_eq!(decided.run(&doc).unwrap().value, expected);
     }
 
     #[test]
@@ -1185,161 +1117,13 @@ mod tests {
     }
 
     #[test]
-    fn auto_parallel_plans_degrade_sequentially_on_small_documents() {
-        let opts = CompileOptions {
-            threads: 4,
-            ..CompileOptions::default()
-        };
-        let q = CompiledQuery::compile_with("//a[position() = last()]", &opts).unwrap();
-        assert_eq!(q.strategy(), EvalStrategy::Parallel { threads: 4 });
-        // Below the threshold the spawn overhead is not worth it...
-        assert_eq!(q.strategy_for(10), EvalStrategy::SingletonSuccess);
-        assert_eq!(
-            q.strategy_for(PARALLEL_MIN_NODES - 1),
-            EvalStrategy::SingletonSuccess
-        );
-        // ...at and above it the parallel plan stands.
-        assert_eq!(
-            q.strategy_for(PARALLEL_MIN_NODES),
-            EvalStrategy::Parallel { threads: 4 }
-        );
-        // Explicit strategy choices are never re-tuned.
-        let fixed = q.with_strategy(EvalStrategy::Parallel { threads: 4 });
-        assert_eq!(
-            fixed.strategy_for(10),
-            EvalStrategy::Parallel { threads: 4 }
-        );
-        // Non-parallel plans are unaffected.
-        let linear = CompiledQuery::compile("/a/b").unwrap();
-        assert_eq!(linear.strategy_for(10), EvalStrategy::CoreXPathLinear);
-    }
-
-    #[test]
-    fn selective_queries_degrade_auto_parallel_plans() {
-        use xpeval_dom::DocumentBuilder;
-        // A large document (well above PARALLEL_MIN_NODES) where tag "rare"
-        // occurs a handful of times and tag "common" everywhere.
-        let mut b = DocumentBuilder::new();
-        b.open_element("root");
-        for i in 0..PARALLEL_MIN_NODES * 2 {
-            if i % 500 == 0 {
-                b.leaf_element("rare");
-            } else {
-                b.leaf_element("common");
-            }
-        }
-        b.close_element();
-        let prepared = b.finish().prepare();
-        assert!(prepared.node_count() >= 2 * PARALLEL_MIN_NODES);
-
-        let opts = CompileOptions {
-            threads: 4,
-            ..CompileOptions::default()
-        };
-        let rare = CompiledQuery::compile_with("//rare[position() = last()]", &opts).unwrap();
-        assert!(matches!(rare.strategy(), EvalStrategy::Parallel { .. }));
-        // Tag selectivity says at most a few candidates: sequential wins.
-        assert_eq!(
-            rare.strategy_for_source(&prepared),
-            EvalStrategy::SingletonSuccess
-        );
-        // The size-only rule cannot see that.
-        assert!(matches!(
-            rare.strategy_for(prepared.node_count()),
-            EvalStrategy::Parallel { .. }
-        ));
-        // A non-selective query keeps the parallel plan...
-        let common = CompiledQuery::compile_with("//common[position() = last()]", &opts).unwrap();
-        assert!(matches!(
-            common.strategy_for_source(&prepared),
-            EvalStrategy::Parallel { .. }
-        ));
-        // ...and so does a selective query on an unindexed source (the
-        // signal is simply unavailable there).
-        assert!(matches!(
-            rare.strategy_for_source(prepared.document()),
-            EvalStrategy::Parallel { .. }
-        ));
-        // Explicit strategy choices are never re-tuned.
-        let fixed = rare
-            .clone()
-            .with_strategy(EvalStrategy::Parallel { threads: 4 });
-        assert!(matches!(
-            fixed.strategy_for_source(&prepared),
-            EvalStrategy::Parallel { .. }
-        ));
-        // And the degraded plan still computes the same answer.
-        assert_eq!(
-            rare.run_prepared(&prepared).unwrap().value,
-            rare.run(prepared.document()).unwrap().value
-        );
-    }
-
-    #[test]
-    fn missing_order_table_degrades_auto_parallel_plans() {
+    fn auto_plans_do_not_depend_on_the_document() {
         use xpeval_dom::{CapabilityMask, DocumentBuilder, SourceCapabilities};
+        // A large document where tag "rare" occurs a handful of times and
+        // tag "common" everywhere, and a three-node one.
         let mut b = DocumentBuilder::new();
         b.open_element("root");
-        for _ in 0..PARALLEL_MIN_NODES * 2 {
-            b.leaf_element("common");
-        }
-        b.close_element();
-        let prepared = b.finish().prepare();
-        let opts = CompileOptions {
-            threads: 4,
-            ..CompileOptions::default()
-        };
-        let q = CompiledQuery::compile_with("//common[position() = last()]", &opts).unwrap();
-        assert!(matches!(
-            q.strategy_for_source(&prepared),
-            EvalStrategy::Parallel { .. }
-        ));
-        // Same document behind a backend that withholds the order table:
-        // the degrade is explicit, not a silent slow path.
-        let no_order = CapabilityMask::new(
-            prepared.clone(),
-            SourceCapabilities {
-                order_table: false,
-                ..SourceCapabilities::FULL
-            },
-        );
-        assert_eq!(
-            q.strategy_for_source(&no_order),
-            EvalStrategy::SingletonSuccess
-        );
-        // The degraded plan agrees with the reference.
-        assert_eq!(
-            q.clone()
-                .with_strategy(q.strategy_for_source(&no_order))
-                .run_prepared(&prepared)
-                .unwrap()
-                .value,
-            q.run_prepared(&prepared).unwrap().value
-        );
-        // A masked source also declines tag-id pinning at specialize time.
-        let specialized = q.specialize_for_source(&CapabilityMask::new(
-            prepared.clone(),
-            SourceCapabilities::NONE,
-        ));
-        assert_eq!(specialized.strategy(), EvalStrategy::SingletonSuccess);
-        assert_eq!(
-            specialized.run_prepared(&prepared).unwrap().value,
-            q.run_prepared(&prepared).unwrap().value
-        );
-        // Explicit strategy choices remain untouched even here.
-        let fixed = q.with_strategy(EvalStrategy::Parallel { threads: 4 });
-        assert!(matches!(
-            fixed.strategy_for_source(&no_order),
-            EvalStrategy::Parallel { .. }
-        ));
-    }
-
-    #[test]
-    fn specialize_pins_the_source_aware_choice() {
-        use xpeval_dom::DocumentBuilder;
-        let mut b = DocumentBuilder::new();
-        b.open_element("root");
-        for i in 0..PARALLEL_MIN_NODES * 2 {
+        for i in 0..1024 {
             if i % 500 == 0 {
                 b.leaf_element("rare");
             } else {
@@ -1347,18 +1131,58 @@ mod tests {
             }
         }
         b.close_element();
-        let prepared = b.finish().prepare();
-        let opts = CompileOptions {
-            threads: 4,
-            ..CompileOptions::default()
-        };
-        let q = CompiledQuery::compile_with("//rare[position() = last()]", &opts).unwrap();
-        assert!(matches!(q.strategy(), EvalStrategy::Parallel { .. }));
+        let large = b.finish().prepare();
+        let small = parse_xml("<root><rare/><common/></root>")
+            .unwrap()
+            .prepare();
+        // The same large document behind a backend that withholds every
+        // index, the document-order table included.
+        let masked = CapabilityMask::new(large.clone(), SourceCapabilities::NONE);
+
+        for src in [
+            "//rare[position() = last()]",
+            "//common[position() = last()]",
+        ] {
+            let q = CompiledQuery::compile(src).unwrap();
+            assert_eq!(q.strategy(), EvalStrategy::ContextValueTable, "{src}");
+            assert_eq!(q.strategy_for_source(&large), q.strategy(), "{src}");
+            assert_eq!(q.strategy_for_source(&small), q.strategy(), "{src}");
+            assert_eq!(q.strategy_for_source(&masked), q.strategy(), "{src}");
+            assert_eq!(
+                q.strategy_for_source(large.document()),
+                q.strategy(),
+                "{src}"
+            );
+            // An explicit pin is the plan's choice on every source too.
+            let pinned = q.clone().with_strategy(EvalStrategy::SingletonSuccess);
+            assert_eq!(
+                pinned.strategy_for_source(&masked),
+                EvalStrategy::SingletonSuccess
+            );
+            // And the machines agree, indexed or not.
+            for doc in [&large, &small] {
+                let auto = q.run_prepared(doc).unwrap().value;
+                assert_eq!(auto.expect_nodes().len(), 1, "{src}");
+                assert_eq!(auto, q.run(doc.document()).unwrap().value, "{src}");
+                assert_eq!(auto, pinned.run_prepared(doc).unwrap().value, "{src}");
+            }
+        }
+    }
+
+    #[test]
+    fn specialize_pins_the_plans_choice() {
+        let prepared = parse_xml(BOOKS).unwrap().prepare();
+        let q = CompiledQuery::compile("//book[position() = last()]").unwrap();
         let specialized = q.specialize_for_source(&prepared);
-        // The degraded choice is now the plan itself — no per-run probing.
-        assert_eq!(specialized.strategy(), EvalStrategy::SingletonSuccess);
+        assert_eq!(specialized.strategy(), q.strategy());
         assert_eq!(
             specialized.strategy_for_source(&prepared),
+            EvalStrategy::ContextValueTable
+        );
+        // An explicit pin survives specialization.
+        let pinned = q.clone().with_strategy(EvalStrategy::SingletonSuccess);
+        assert_eq!(
+            pinned.specialize_for_source(&prepared).strategy(),
             EvalStrategy::SingletonSuccess
         );
         // Same answer, either way.
@@ -1436,7 +1260,7 @@ mod tests {
     }
 
     #[test]
-    fn registered_functions_compile_run_and_degrade() {
+    fn registered_functions_compile_and_run() {
         use crate::registry::{FragmentImpact, FunctionSignature};
         let mut registry = FunctionRegistry::new();
         registry.register(
@@ -1454,21 +1278,22 @@ mod tests {
         let doc = parse_xml(BOOKS).unwrap();
 
         // A core-safe registration keeps the classifier's verdict — the
-        // query stays in pXPath and gets the linear-bound parallel plan,
-        // never the context-value-table fallback.
+        // query stays in pXPath, so the Lemma 5.4 procedure admits it.
         let q = CompiledQuery::compile_with_registry(
             "//book[double(@year) = 4006]/title",
             registry.clone(),
         )
         .unwrap();
         assert_eq!(q.fragment(), Fragment::PXPath);
-        assert!(matches!(q.strategy(), EvalStrategy::Parallel { .. }));
+        assert_eq!(q.strategy(), EvalStrategy::ContextValueTable);
+        assert!(q.ir().ss_check().is_ok());
         let out = q.run(&doc).unwrap();
         let nodes = out.value.expect_nodes();
         assert_eq!(nodes.len(), 1);
         assert_eq!(doc.string_value(nodes[0]), "B");
 
-        // A general registration degrades the plan to full XPath → CVT.
+        // A general registration degrades the query to full XPath, which
+        // the Lemma 5.4 procedure rejects.
         let q = CompiledQuery::compile_with_registry(
             "//book[shout(title) = 'B']/title",
             registry.clone(),
@@ -1476,6 +1301,7 @@ mod tests {
         .unwrap();
         assert_eq!(q.fragment(), Fragment::XPath);
         assert_eq!(q.strategy(), EvalStrategy::ContextValueTable);
+        assert!(q.ir().ss_check().is_err());
         let out = q.run(&doc).unwrap();
         let nodes = out.value.expect_nodes();
         assert_eq!(nodes.len(), 1);

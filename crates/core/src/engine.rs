@@ -3,7 +3,7 @@
 //!
 //! [`Engine`] is the serving façade over the compile-once pipeline of
 //! [`crate::compile`].  It is configured through [`EngineBuilder`] (strategy
-//! override, worker threads, plan-cache capacity), compiles query strings
+//! override, plan-cache capacity), compiles query strings
 //! into [`CompiledQuery`] plans through a bounded LRU
 //! [`PlanCache`](crate::cache::PlanCache), and
 //! offers batch entry points ([`Engine::evaluate_many`],
@@ -17,9 +17,7 @@
 
 use crate::bindings::Bindings;
 use crate::cache::{CacheStats, DocumentCache, ShardedPlanCache};
-use crate::compile::{
-    default_threads, recommended_strategy, CompileOptions, CompiledQuery, QueryOutput,
-};
+use crate::compile::{recommended_strategy, CompileOptions, CompiledQuery, QueryOutput};
 use crate::context::Context;
 use crate::error::EvalError;
 use crate::registry::{FunctionRegistry, FunctionSignature};
@@ -43,8 +41,10 @@ pub enum EvalStrategy {
     CoreXPathLinear,
     /// Data-parallel Singleton-Success evaluation for pWF/pXPath
     /// (Theorems 5.5/6.2, Remark 5.6) with the given number of threads.
+    /// Never selected automatically: pin it to run the decision procedure.
     Parallel { threads: usize },
     /// Sequential Singleton-Success evaluation (Lemma 5.4 / Theorem 5.5).
+    /// Never selected automatically: pin it to run the decision procedure.
     SingletonSuccess,
 }
 
@@ -54,7 +54,7 @@ pub enum EvalStrategy {
 /// use xpeval_core::{Engine, EvalStrategy};
 ///
 /// let engine = Engine::builder()
-///     .threads(2)
+///     .strategy(EvalStrategy::ContextValueTable)
 ///     .plan_cache_capacity(256)
 ///     .build();
 /// # let _ = engine;
@@ -62,7 +62,6 @@ pub enum EvalStrategy {
 #[derive(Clone, Debug)]
 pub struct EngineBuilder {
     strategy: Option<EvalStrategy>,
-    threads: usize,
     cache_capacity: usize,
     document_cache_capacity: usize,
     registry: FunctionRegistry,
@@ -70,13 +69,11 @@ pub struct EngineBuilder {
 }
 
 impl EngineBuilder {
-    /// Default configuration: automatic per-query strategy selection, all
-    /// available threads, a 128-plan cache, an 8-document index cache, no
-    /// registered functions.
+    /// Default configuration: automatic per-query strategy selection, a
+    /// 128-plan cache, an 8-document index cache, no registered functions.
     pub fn new() -> Self {
         EngineBuilder {
             strategy: None,
-            threads: default_threads(),
             cache_capacity: 128,
             document_cache_capacity: 8,
             registry: FunctionRegistry::new(),
@@ -106,12 +103,6 @@ impl EngineBuilder {
     /// the algorithm the paper recommends for its fragment.
     pub fn auto_strategy(mut self) -> Self {
         self.strategy = None;
-        self
-    }
-
-    /// Worker threads for the parallel evaluator (clamped to at least 1).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
         self
     }
 
@@ -181,7 +172,6 @@ impl EngineBuilder {
         Engine {
             inner: Arc::new(EngineInner {
                 strategy: self.strategy,
-                threads: self.threads,
                 cache: ShardedPlanCache::new(self.cache_capacity),
                 documents: DocumentCache::new(self.document_cache_capacity),
                 registry,
@@ -215,7 +205,6 @@ pub struct Engine {
 struct EngineInner {
     /// `None` = pick the recommended strategy per query.
     strategy: Option<EvalStrategy>,
-    threads: usize,
     cache: ShardedPlanCache,
     documents: DocumentCache,
     /// User-registered functions, shared by every plan this engine compiles.
@@ -234,7 +223,7 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// Creates an engine with a fixed strategy and default cache/threads.
+    /// Creates an engine with a fixed strategy and default caches.
     pub fn new(strategy: EvalStrategy) -> Self {
         EngineBuilder::new().strategy(strategy).build()
     }
@@ -255,12 +244,11 @@ impl Engine {
         classify(query)
     }
 
-    /// Picks the strategy the paper would recommend for a query: linear
-    /// set-at-a-time evaluation for Core XPath, parallel evaluation for the
-    /// LOGCFL fragments, the DP algorithm otherwise.
-    pub fn recommended_for(query: &Expr, threads: usize) -> Engine {
-        let report = classify(query);
-        Engine::new(recommended_strategy(&report, threads.max(1)))
+    /// An engine fixed to the machine the automatic selection picks for
+    /// `query` ([`recommended_strategy`]): linear set-at-a-time evaluation
+    /// for Core XPath, the context-value-table machine otherwise.
+    pub fn recommended_for(query: &Expr) -> Engine {
+        Engine::new(recommended_strategy(&classify(query)))
     }
 
     /// The function registry this engine compiles queries against.
@@ -271,7 +259,6 @@ impl Engine {
     fn compile_options(&self, normalize: bool) -> CompileOptions {
         CompileOptions {
             strategy: self.inner.strategy,
-            threads: self.inner.threads,
             normalize,
             registry: Arc::clone(&self.inner.registry),
         }
@@ -351,8 +338,8 @@ impl Engine {
     /// Batch entry point: evaluates one compiled query over many contexts
     /// (see [`CompiledQuery::run_many`] for the table-sharing guarantee).
     ///
-    /// The plan carries its own strategy and thread count: engine
-    /// configuration applies at *compile* time, so compile the query
+    /// The plan carries its own strategy: engine configuration applies at
+    /// *compile* time, so compile the query
     /// through [`Engine::compile`] to run batches under this engine's
     /// settings.
     pub fn evaluate_many(
@@ -419,9 +406,7 @@ impl Engine {
 
     /// Evaluates a query against a prepared document from the canonical
     /// root context ([`Engine::compile_expr`] +
-    /// [`CompiledQuery::run_prepared`]).  With automatic strategy selection
-    /// the document's node count and the tag-index selectivity of the query
-    /// participate in the choice ([`CompiledQuery::strategy_for_source`]).
+    /// [`CompiledQuery::run_prepared`]).
     pub fn evaluate_prepared(
         &self,
         doc: &PreparedDocument,
@@ -590,32 +575,16 @@ mod tests {
 
     #[test]
     fn recommendation_follows_the_paper() {
-        let threads = 4;
-        let q = parse_query("/a/b/c").unwrap();
-        assert_eq!(
-            Engine::recommended_for(&q, threads).strategy(),
-            EvalStrategy::CoreXPathLinear
-        );
-        let q = parse_query("//a[not(child::b)]").unwrap();
-        assert_eq!(
-            Engine::recommended_for(&q, threads).strategy(),
-            EvalStrategy::CoreXPathLinear
-        );
-        let q = parse_query("//a[position() = last()]").unwrap();
-        assert_eq!(
-            Engine::recommended_for(&q, threads).strategy(),
-            EvalStrategy::Parallel { threads }
-        );
-        let q = parse_query("//a[@id = 3]").unwrap();
-        assert_eq!(
-            Engine::recommended_for(&q, threads).strategy(),
-            EvalStrategy::Parallel { threads }
-        );
-        let q = parse_query("count(//a) > 2").unwrap();
-        assert_eq!(
-            Engine::recommended_for(&q, threads).strategy(),
-            EvalStrategy::ContextValueTable
-        );
+        for (query, expected) in [
+            ("/a/b/c", EvalStrategy::CoreXPathLinear),
+            ("//a[not(child::b)]", EvalStrategy::CoreXPathLinear),
+            ("//a[position() = last()]", EvalStrategy::ContextValueTable),
+            ("//a[@id = 3]", EvalStrategy::ContextValueTable),
+            ("count(//a) > 2", EvalStrategy::ContextValueTable),
+        ] {
+            let q = parse_query(query).unwrap();
+            assert_eq!(Engine::recommended_for(&q).strategy(), expected, "{query}");
+        }
     }
 
     #[test]
@@ -669,7 +638,6 @@ mod tests {
     fn builder_configuration_is_respected() {
         let engine = Engine::builder()
             .strategy(EvalStrategy::Naive)
-            .threads(2)
             .plan_cache_capacity(1)
             .build();
         assert_eq!(engine.strategy(), EvalStrategy::Naive);
@@ -685,14 +653,14 @@ mod tests {
 
     #[test]
     fn auto_strategy_engine_picks_per_query_plans() {
-        let engine = Engine::builder().threads(2).build();
+        let engine = Engine::builder().build();
         assert_eq!(
             engine.compile("/a/b").unwrap().strategy(),
             EvalStrategy::CoreXPathLinear
         );
         assert_eq!(
             engine.compile("//a[position() = 1]").unwrap().strategy(),
-            EvalStrategy::Parallel { threads: 2 }
+            EvalStrategy::ContextValueTable
         );
         assert_eq!(
             engine.compile("count(//a) > 1").unwrap().strategy(),
@@ -732,7 +700,7 @@ mod tests {
     #[test]
     fn prepared_entry_points_agree_with_plain_ones() {
         let doc = Arc::new(parse_xml(BOOKS).unwrap());
-        let engine = Engine::builder().threads(2).build();
+        let engine = Engine::builder().build();
         let prepared = engine.prepare(&doc);
         for q in [
             "/lib/book/title",
@@ -816,7 +784,6 @@ mod tests {
         use crate::registry::FragmentImpact;
         let doc = parse_xml(BOOKS).unwrap();
         let engine = Engine::builder()
-            .threads(2)
             .register_function(
                 FunctionSignature::new("double", 1, Some(1))
                     .returns_number()
@@ -829,11 +796,15 @@ mod tests {
             .evaluate_str(&doc, "//book[double(@year) = 4006]/title")
             .unwrap();
         assert_eq!(doc.string_value(v.expect_nodes()[0]), "B");
-        // Core-safe registration keeps the linear-bound parallel plan.
+        // A core-safe registration keeps the query in pXPath: the table
+        // machine runs it, and the pinned decision procedure admits it.
         let plan = engine
             .compile("//book[double(@year) = 4006]/title")
             .unwrap();
-        assert!(matches!(plan.strategy(), EvalStrategy::Parallel { .. }));
+        assert_eq!(plan.fragment(), Fragment::PXPath);
+        assert_eq!(plan.strategy(), EvalStrategy::ContextValueTable);
+        let decided = CompiledQuery::clone(&plan).with_strategy(EvalStrategy::SingletonSuccess);
+        assert_eq!(decided.run(&doc).unwrap().value, v);
         // Compile-time arity validation applies to registered names too.
         let err = engine.compile("double(1, 2)").unwrap_err();
         assert!(matches!(err, EvalError::WrongArity { .. }), "{err:?}");

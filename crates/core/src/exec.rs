@@ -2,20 +2,21 @@
 //!
 //! One machine per result of the paper, each reading [`crate::ir::PlanIr`]:
 //!
-//! | IR machine | algorithm | strategy |
-//! |---|---|---|
-//! | `IrEvaluator` (memoized) | context-value-table dynamic program (Proposition 2.7, Theorem 7.2) | `ContextValueTable` |
-//! | `IrEvaluator` (eager) | per-occurrence re-evaluation with list semantics (Section 1) | `Naive` |
-//! | `IrLinear` | set-at-a-time O(&#124;D&#124;·&#124;Q&#124;) Core XPath (Proposition 2.7) | `CoreXPathLinear` |
-//! | `IrSingletonSuccess` | the Lemma 5.4 / Table 1 NAuxPDA, simulated deterministically | `SingletonSuccess` |
-//! | `parallel_ir` | the Theorem 5.5 loop over per-worker checkers (Remark 5.6) | `Parallel` |
+//! | IR machine | algorithm | strategy | selected |
+//! |---|---|---|---|
+//! | `IrEvaluator` (memoized) | context-value-table dynamic program (Proposition 2.7, Theorem 7.2); position-free steps set-at-a-time, Core XPath predicates through `IrLinear::sat` | `ContextValueTable` | auto, every fragment above Core XPath |
+//! | `IrEvaluator` (eager) | per-occurrence re-evaluation with list semantics (Section 1) | `Naive` | pin only |
+//! | `IrLinear` | set-at-a-time O(&#124;D&#124;·&#124;Q&#124;) Core XPath (Proposition 2.7) | `CoreXPathLinear` | auto, Core XPath and below |
+//! | `IrSingletonSuccess` | the Lemma 5.4 / Table 1 NAuxPDA, simulated deterministically — the decision procedure behind `CompiledQuery::decide` | `SingletonSuccess` | pin only |
+//! | `parallel_ir` | the Theorem 5.5 loop over per-worker checkers (Remark 5.6) | `Parallel` | pin only |
 //!
 //! What the machines do *not* redo at run time is the point: fragment
 //! admission and Definition 6.1 validation are precomputed verdicts
-//! ([`PlanIr::linear_check`] / [`PlanIr::ss_check`]), positional picks are
-//! pre-recognized per step, and name tests arrive pre-resolved to global
-//! [`xpeval_dom::TagId`]s, so the hot loops run without a single string
-//! hash or AST pointer chase.
+//! ([`PlanIr::linear_check`] / [`PlanIr::ss_check`]), positional picks and
+//! the route through every step and predicate ([`StepRoute`],
+//! [`PredRoute`]) are pre-decided per step, and name tests arrive
+//! pre-resolved to global [`xpeval_dom::TagId`]s, so the hot loops run
+//! without a single string hash or AST pointer chase.
 //!
 //! `execute_ir` is the single strategy dispatch funnel: every
 //! [`crate::CompiledQuery`] run path and every [`crate::Engine`] entry point
@@ -27,17 +28,19 @@ use crate::context::{Context, ContextKey};
 use crate::engine::EvalStrategy;
 use crate::error::EvalError;
 use crate::functions::call_function;
-use crate::ir::{OpId, OpKind, PlanIr, StepIr};
+use crate::ir::{
+    OpId, OpKind, PlanIr, PredRoute, StepIr, StepRoute, StringCheck, StringSource, StringTest,
+};
 use crate::registry::FunctionRegistry;
 use crate::sets::{self, NodeBitSet};
 use crate::stats::EvalStats;
 use crate::steps::predicate_holds;
-use crate::value::Value;
+use crate::value::{compare_string_atom, Value};
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::time::Instant;
-use xpeval_dom::{AxisSource, Document, NodeId, NodeTest};
+use xpeval_dom::{Axis, AxisSource, Document, NodeId, NodeKind, NodeTest};
 use xpeval_obs::OpTrace;
 use xpeval_syntax::ast::ExprType;
 
@@ -166,11 +169,21 @@ pub(crate) fn execute_ir<S: AxisSource + ?Sized>(
 /// The recursive tree-walk executor, in two modes sharing one step loop:
 ///
 /// * **memoized** — the context-value-table dynamic program: every
-///   `(opcode, context-key)` value is computed once, paths use set semantics
-///   (sort + dedup between steps), `and`/`or` short-circuit.
+///   `(opcode, context-key)` value is computed once (constants have no
+///   table), paths use set semantics, `and`/`or` short-circuit.  A step is
+///   walked by the route lowering chose for it: [`StepRoute::PerContext`]
+///   enumerates the axis once per context node and filters with proximity
+///   positions; [`StepRoute::Set`] computes one deduplicated candidate set
+///   for the whole context set — O(|D|) however many contexts there are —
+///   and runs each predicate as one filter pass over it.  Either way a
+///   predicate is answered by its [`PredRoute`]: per candidate, by
+///   membership in a `sat` set computed once (when the candidates are
+///   enough of the document to pay for it), or in place on the candidate's
+///   own strings.
 /// * **eager** — the naive baseline: every occurrence re-evaluates, paths
 ///   use list semantics with the max-intermediate-list watermark, `and`/`or`
-///   evaluate both sides.
+///   evaluate both sides, and every step and predicate goes per context
+///   node and per candidate whatever its route.
 pub(crate) struct IrEvaluator<'d, 'q, S: AxisSource + ?Sized = Document> {
     src: &'d S,
     doc: &'d Document,
@@ -179,7 +192,23 @@ pub(crate) struct IrEvaluator<'d, 'q, S: AxisSource + ?Sized = Document> {
     memoized: bool,
     memo: HashMap<(OpId, ContextKey), Value>,
     stats: EvalStats,
+    /// The set-at-a-time half of the table machine, built on first use:
+    /// axis images of whole context sets and the `sat` sets of Core XPath
+    /// predicates.
+    sets: Option<IrLinear<'d, 'q, S>>,
+    /// `sat` sets already computed: they hold at a node or not, whatever
+    /// the context, so each is computed once per evaluator.
+    sat_sets: HashMap<OpId, NodeBitSet>,
+    /// Candidates a [`PredRoute::Sat`] predicate was asked about one by one
+    /// while its set was not yet worth computing.
+    sat_asked: HashMap<OpId, usize>,
 }
+
+/// A `sat` set costs one sweep of the document per step of its predicate,
+/// so it is computed only once the candidates it has to answer for add up
+/// to 1/`SAT_SWEEP_SHARE` of the document; the handful of candidates of a
+/// lookup (`/site/people/person[1]/profile[interest]`) is asked one by one.
+const SAT_SWEEP_SHARE: usize = 1024;
 
 impl<'d, 'q, S: AxisSource + ?Sized> IrEvaluator<'d, 'q, S> {
     /// Context-value-table mode (the `ContextValueTable` strategy).
@@ -201,19 +230,27 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrEvaluator<'d, 'q, S> {
             memoized,
             memo: HashMap::new(),
             stats: EvalStats::default(),
+            sets: None,
+            sat_sets: HashMap::new(),
+            sat_asked: HashMap::new(),
         }
     }
 
     /// Work counters accumulated so far (cumulative across calls when one
-    /// evaluator is shared over a batch).
+    /// evaluator is shared over a batch).  Set-at-a-time work counts the
+    /// way the linear machine counts it: one evaluation per `sat` opcode,
+    /// one step application per axis image.
     pub fn stats(&self) -> EvalStats {
-        if self.memoized {
-            EvalStats {
-                table_entries: self.memo.len(),
-                ..self.stats
-            }
-        } else {
-            self.stats
+        let sets = self
+            .sets
+            .as_ref()
+            .map_or(EvalStats::default(), |s| s.stats());
+        EvalStats {
+            evaluations: self.stats.evaluations + sets.evaluations,
+            step_context_evaluations: self.stats.step_context_evaluations
+                + sets.step_context_evaluations,
+            table_entries: self.memo.len(),
+            ..self.stats
         }
     }
 
@@ -229,8 +266,18 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrEvaluator<'d, 'q, S> {
     }
 
     fn eval_inner(&mut self, id: OpId, ctx: Context) -> Result<Value, EvalError> {
+        let op = self.ir.op(id);
+        if self.memoized
+            && matches!(
+                op.kind,
+                OpKind::Number(_) | OpKind::Literal(_) | OpKind::Variable(_)
+            )
+        {
+            // The value of a constant is the opcode itself: no table.
+            return self.eval_op(id, ctx);
+        }
         if self.memoized {
-            let key = (id, ContextKey::for_context(ctx, self.ir.op(id).sensitive));
+            let key = (id, ContextKey::for_context(ctx, op.sensitive));
             if let Some(v) = self.memo.get(&key) {
                 self.stats.cache_hits += 1;
                 return Ok(v.clone());
@@ -336,21 +383,24 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrEvaluator<'d, 'q, S> {
             vec![ctx.node]
         };
         for step in ir.path_steps(range) {
-            let preds = ir.step_preds(step);
-            let mut next: Vec<NodeId> = Vec::new();
-            for &node in &current {
-                self.stats.step_context_evaluations += 1;
-                let mut selected = self.apply_step(node, step, preds)?;
-                next.append(&mut selected);
-            }
-            if self.memoized {
-                // Set semantics: document order, no duplicates.
-                self.doc.sort_document_order(&mut next);
+            current = if self.memoized && step.route == StepRoute::Set {
+                self.apply_step_to_set(&current, step)?
             } else {
-                // List semantics: duplicates preserved, watermark recorded.
-                self.stats.max_intermediate_list = self.stats.max_intermediate_list.max(next.len());
-            }
-            current = next;
+                let mut next: Vec<NodeId> = Vec::new();
+                for &node in &current {
+                    self.stats.step_context_evaluations += 1;
+                    next.append(&mut self.apply_step(node, step)?);
+                }
+                if self.memoized {
+                    // Set semantics: document order, no duplicates.
+                    self.doc.sort_document_order(&mut next);
+                } else {
+                    // List semantics: duplicates preserved, watermark recorded.
+                    self.stats.max_intermediate_list =
+                        self.stats.max_intermediate_list.max(next.len());
+                }
+                next
+            };
         }
         if self.memoized {
             Ok(Value::NodeSet(current))
@@ -363,47 +413,165 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrEvaluator<'d, 'q, S> {
     /// in document order, each predicate filtering in turn with proximity
     /// positions re-derived (XPath 1.0 §2.4); the positional pick was
     /// recognized at lowering.
-    fn apply_step(
-        &mut self,
-        from: NodeId,
-        step: &StepIr,
-        preds: &[OpId],
-    ) -> Result<Vec<NodeId>, EvalError> {
-        let mut candidates: Vec<NodeId>;
-        let mut remaining = preds;
-        if let Some(pick) = step.pick {
-            match self.src.positional_child_step(from, &step.test, pick) {
-                Some(picked) => {
-                    candidates = picked;
-                    remaining = &preds[1..];
-                }
-                None => candidates = self.src.axis_step(from, step.axis, &step.test),
-            }
-        } else {
-            candidates = self.src.axis_step(from, step.axis, &step.test);
-        }
-        for &pred in remaining {
-            candidates = self.filter(&candidates, step.axis.is_reverse(), pred)?;
+    fn apply_step(&mut self, from: NodeId, step: &StepIr) -> Result<Vec<NodeId>, EvalError> {
+        let ir = self.ir;
+        let preds = ir.step_preds(step).iter().zip(ir.step_pred_routes(step));
+        let picked = step
+            .pick
+            .and_then(|pick| self.src.positional_child_step(from, &step.test, pick));
+        // An index that answered the pick answered the first predicate.
+        let answered = usize::from(picked.is_some());
+        let mut candidates =
+            picked.unwrap_or_else(|| self.src.axis_step(from, step.axis, &step.test));
+        for (&pred, route) in preds.skip(answered) {
+            candidates = self.filter(candidates, Some(step.axis.is_reverse()), pred, route)?;
         }
         Ok(candidates)
     }
 
+    /// One position-free location step from a whole context set (document
+    /// order, no duplicates): the distinct candidates are computed once,
+    /// then each predicate is one filter pass over them.
+    fn apply_step_to_set(
+        &mut self,
+        contexts: &[NodeId],
+        step: &StepIr,
+    ) -> Result<Vec<NodeId>, EvalError> {
+        let mut candidates = match contexts {
+            [] => return Ok(Vec::new()),
+            // One context node keeps the source's indexed enumeration: a
+            // lookup is not taxed by a sweep of the document.
+            [one] => {
+                self.stats.step_context_evaluations += 1;
+                self.src.axis_step(*one, step.axis, &step.test)
+            }
+            // The one-hop axes enumerate what they select and little else:
+            // about what an image costs from every `item` of a document, and
+            // a tenth of it from a few contexts (`/site/regions/*/item[2]/bid`).
+            many if matches!(
+                step.axis,
+                Axis::SelfAxis | Axis::Child | Axis::Parent | Axis::Attribute
+            ) =>
+            {
+                self.stats.step_context_evaluations += many.len() as u64;
+                let mut selected = Vec::new();
+                for &node in many {
+                    selected.append(&mut self.src.axis_step(node, step.axis, &step.test));
+                }
+                self.doc.sort_document_order(&mut selected);
+                selected
+            }
+            // The transitive axes overlap between contexts — per-node
+            // enumeration is O(|contexts|·|D|) — so take one O(|D|) image.
+            many => {
+                let sets = self.sets();
+                sets.nodes_in_order(&sets.step_image(step, &sets.bits_of(many)))
+            }
+        };
+        let ir = self.ir;
+        for (&pred, route) in ir.step_preds(step).iter().zip(ir.step_pred_routes(step)) {
+            candidates = self.filter(candidates, None, pred, route)?;
+        }
+        Ok(candidates)
+    }
+
+    /// Filters a candidate list by one predicate.  `proximity` is
+    /// `Some(reverse_axis)` when the candidates are one context node's axis
+    /// enumeration, whose proximity positions the predicate may read, and
+    /// `None` for the deduplicated candidates of a position-free step, which
+    /// are evaluated in the context `(node, 1, 1)`.
     fn filter(
         &mut self,
-        candidates: &[NodeId],
-        reverse_axis: bool,
+        mut candidates: Vec<NodeId>,
+        proximity: Option<bool>,
         pred: OpId,
+        route: &PredRoute,
     ) -> Result<Vec<NodeId>, EvalError> {
-        let size = candidates.len();
-        let mut kept = Vec::with_capacity(size);
-        for (idx, &node) in candidates.iter().enumerate() {
-            let position = if reverse_axis { size - idx } else { idx + 1 };
-            let value = self.eval(pred, Context::new(node, position, size))?;
-            if predicate_holds(&value, position) {
-                kept.push(node);
+        match route {
+            PredRoute::Sat if self.memoized && self.sat_pays(pred, candidates.len()) => {
+                let holds = self.sat_set(pred)?;
+                candidates.retain(|&node| holds.contains(node));
+            }
+            PredRoute::InPlace(test) if self.memoized => {
+                let start = self.env.trace.map(|_| Instant::now());
+                let before = candidates.len() as u64;
+                self.stats.evaluations += 1;
+                candidates.retain(|&node| holds_in_place(self.doc, test, node));
+                if let (Some(trace), Some(start)) = (self.env.trace, start) {
+                    let nanos = start.elapsed().as_nanos() as u64;
+                    trace.record(pred, before, candidates.len() as u64, nanos);
+                }
+            }
+            // Eager mode re-evaluates per occurrence by definition.
+            _ => {
+                let size = candidates.len();
+                let mut kept = Vec::with_capacity(size);
+                for (idx, &node) in candidates.iter().enumerate() {
+                    let (position, size) = match proximity {
+                        Some(true) => (size - idx, size),
+                        Some(false) => (idx + 1, size),
+                        None => (1, 1),
+                    };
+                    let value = self.eval(pred, Context::new(node, position, size))?;
+                    if predicate_holds(&value, position) {
+                        kept.push(node);
+                    }
+                }
+                candidates = kept;
             }
         }
-        Ok(kept)
+        Ok(candidates)
+    }
+
+    fn sets(&mut self) -> &IrLinear<'d, 'q, S> {
+        let (src, ir, trace) = (self.src, self.ir, self.env.trace);
+        self.sets
+            .get_or_insert_with(|| IrLinear::unchecked(src, ir, trace))
+    }
+
+    /// Is the `sat` set of `pred` there already, or worth its sweeps now
+    /// that `candidates` more nodes ask for it?
+    fn sat_pays(&mut self, pred: OpId, candidates: usize) -> bool {
+        if self.sat_sets.contains_key(&pred) {
+            return true;
+        }
+        let asked = self.sat_asked.entry(pred).or_insert(0);
+        *asked += candidates;
+        *asked * SAT_SWEEP_SHARE >= self.doc.len()
+    }
+
+    /// The set of nodes at which a [`PredRoute::Sat`] predicate holds.
+    fn sat_set(&mut self, pred: OpId) -> Result<&NodeBitSet, EvalError> {
+        if !self.sat_sets.contains_key(&pred) {
+            let holds = self.sets().sat(pred)?;
+            self.sat_sets.insert(pred, holds);
+        }
+        Ok(&self.sat_sets[&pred])
+    }
+}
+
+/// Decides a [`PredRoute::InPlace`] predicate at one candidate, on the
+/// `&str`s the document already holds.
+fn holds_in_place(doc: &Document, test: &StringTest, node: NodeId) -> bool {
+    let mut attributes = doc.attributes(node).iter().copied();
+    let mut child = doc.first_child(node);
+    // The source's strings, lazily and in document order.
+    let mut strings = std::iter::from_fn(|| match &test.source {
+        StringSource::Attribute(name) => attributes.find_map(|a| match doc.kind(a) {
+            NodeKind::Attribute { name: n, value } if **n == **name => Some(&**value),
+            _ => None,
+        }),
+        StringSource::Text => loop {
+            let c = child?;
+            child = doc.next_sibling(c);
+            if let NodeKind::Text { text } = doc.kind(c) {
+                break Some(&**text);
+            }
+        },
+    });
+    match &test.check {
+        StringCheck::Compare(op, atom) => strings.any(|s| compare_string_atom(s, *op, atom)),
+        StringCheck::StartsWith(prefix) => strings.next().unwrap_or("").starts_with(prefix),
     }
 }
 
@@ -436,8 +604,15 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrLinear<'d, 'q, S> {
     /// when the query is not in Core XPath (Definition 2.5).
     pub fn new(src: &'d S, ir: &'q PlanIr, trace: Option<&'q OpTrace>) -> Result<Self, EvalError> {
         ir.linear_check()?;
+        Ok(Self::unchecked(src, ir, trace))
+    }
+
+    /// The machine without the whole-plan admission check, for the table
+    /// machine: it only hands over what lowering routed here — single steps
+    /// and [`PredRoute::Sat`] predicates, Core XPath each.
+    fn unchecked(src: &'d S, ir: &'q PlanIr, trace: Option<&'q OpTrace>) -> Self {
         let doc = src.document();
-        Ok(IrLinear {
+        IrLinear {
             src,
             doc,
             order: src.document_order(),
@@ -446,7 +621,7 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrLinear<'d, 'q, S> {
             trace,
             evaluations: Cell::new(0),
             steps_applied: Cell::new(0),
-        })
+        }
     }
 
     pub fn stats(&self) -> EvalStats {
@@ -464,10 +639,22 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrLinear<'d, 'q, S> {
         root: OpId,
         context_nodes: &[NodeId],
     ) -> Result<Vec<NodeId>, EvalError> {
-        let result = self.evaluate_bits(root, context_nodes)?;
-        let mut nodes: Vec<NodeId> = result.iter_nodes().collect();
+        Ok(self.nodes_in_order(&self.evaluate_bits(root, context_nodes)?))
+    }
+
+    /// The members of a node set, in document order.
+    fn nodes_in_order(&self, set: &NodeBitSet) -> Vec<NodeId> {
+        let mut nodes: Vec<NodeId> = set.iter_nodes().collect();
         self.doc.sort_document_order(&mut nodes);
-        Ok(nodes)
+        nodes
+    }
+
+    fn bits_of(&self, nodes: &[NodeId]) -> NodeBitSet {
+        let mut set = NodeBitSet::empty(self.n);
+        for &node in nodes {
+            set.insert(node);
+        }
+        set
     }
 
     /// [`IrLinear::evaluate_from`] returning the raw result **bitset**
@@ -478,11 +665,7 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrLinear<'d, 'q, S> {
         root: OpId,
         context_nodes: &[NodeId],
     ) -> Result<NodeBitSet, EvalError> {
-        let mut start = NodeBitSet::empty(self.n);
-        for &c in context_nodes {
-            start.insert(c);
-        }
-        self.eval_nodeset(root, &start)
+        self.eval_nodeset(root, &self.bits_of(context_nodes))
     }
 
     fn eval_nodeset(&self, id: OpId, from: &NodeBitSet) -> Result<NodeBitSet, EvalError> {
@@ -558,13 +741,20 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrLinear<'d, 'q, S> {
         step: &StepIr,
         from: &NodeBitSet,
     ) -> Result<NodeBitSet, EvalError> {
-        self.steps_applied.set(self.steps_applied.get() + 1);
-        let mut image = sets::axis_image(self.src, &self.order, step.axis, from);
-        image.intersect_with(&sets::test_set(self.src, &step.test, step.axis));
+        let mut image = self.step_image(step, from);
         for &pred in self.ir.step_preds(step) {
             image.intersect_with(&self.sat(pred)?);
         }
         Ok(image)
+    }
+
+    /// `axis::test` from a whole node set, predicates aside: one O(|D|)
+    /// image under the axis relation, cut down to the node test.
+    fn step_image(&self, step: &StepIr, from: &NodeBitSet) -> NodeBitSet {
+        self.steps_applied.set(self.steps_applied.get() + 1);
+        let mut image = sets::axis_image(self.src, &self.order, step.axis, from);
+        image.intersect_with(&sets::test_set(self.src, &step.test, step.axis));
+        image
     }
 
     fn sat(&self, id: OpId) -> Result<NodeBitSet, EvalError> {
@@ -622,9 +812,8 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrLinear<'d, 'q, S> {
                 target.intersect_with(&self.sat(pred)?);
             }
             target.intersect_with(&suffix_ok);
-            // ...and the nodes from which such a target is reachable: its
-            // image under the inverse axis.
-            suffix_ok = sets::axis_image(self.src, &self.order, step.axis.inverse(), &target);
+            // ...and the nodes from which the axis reaches such a target.
+            suffix_ok = sets::axis_preimage(self.src, &self.order, step.axis, &target);
         }
         if absolute {
             // An absolute path does not depend on the context node: it holds
@@ -1310,7 +1499,10 @@ mod tests {
     fn memoized_mode_shares_context_value_tables() {
         let xml = "<r><a><b/></a><a><b/></a><a><b/></a></r>";
         let doc = parse_xml(xml).unwrap();
-        let (_, ir) = lower("//b/ancestor::*[child::b]");
+        // A per-context step (the predicate reads `position()`): the three
+        // `b` contexts share their ancestors, and `count(child::b)` is
+        // keyed by node alone, so it is computed once per ancestor.
+        let (_, ir) = lower("//b/ancestor::*[position() <= count(child::b)]");
         let mut ev = IrEvaluator::memoized(&doc, &ir, EvalEnv::base());
         ev.eval(ir.root(), Context::root(&doc)).unwrap();
         let stats = ev.stats();

@@ -15,11 +15,12 @@
 //!   unindexed source falls back to the string the test still carries.  This
 //!   is what makes one lowered plan shareable across equal documents;
 //! * per-step metadata is precomputed: the leading positional pick of a
-//!   child step ([`xpeval_dom::PositionalPick`]), a static
-//!   [`StepSelectivity`] hint, and the `//`-expansion fusion
-//!   (`descendant-or-self::node()/child::t` → `descendant::t`, applied only
-//!   when neither step carries predicates, where it is list- and
-//!   set-semantics preserving);
+//!   child step ([`xpeval_dom::PositionalPick`]), the route the table
+//!   machine takes through the step ([`StepRoute`]: per context node, or
+//!   set-at-a-time) and through each of its predicates ([`PredRoute`]), and
+//!   the `//`-expansion fusion (`descendant-or-self::node()/child::t[p]` →
+//!   `descendant::t[p]`, applied only when no predicate reads a proximity
+//!   position, where it is list- and set-semantics preserving);
 //! * per-opcode static analysis survives lowering: the [`Fragment`] that
 //!   admitted each subexpression, its static `ExprType`, and the
 //!   position-sensitivity bit the context-value tables key on;
@@ -33,9 +34,12 @@
 use crate::error::EvalError;
 use crate::functions::is_supported;
 use crate::registry::{FragmentImpact, FunctionRegistry};
+use crate::value::Value;
+use std::borrow::Cow;
 use std::sync::Arc;
 use xpeval_dom::{Axis, NodeTest, PositionalPick};
 use xpeval_syntax::ast::ExprType;
+use xpeval_syntax::fragment::is_core_condition;
 use xpeval_syntax::{
     classify, ArithOp, Expr, Fragment, FragmentReport, LocationPath, NodeCompOp, RelOp, Step,
 };
@@ -43,18 +47,95 @@ use xpeval_syntax::{
 /// Index of an [`OpIr`] in the plan's opcode arena.
 pub type OpId = u32;
 
-/// Static selectivity hint of a lowered step, read off the axis, the node
-/// test and the positional pick — no document required.  Executors use it to
-/// size frontier buffers; introspection surfaces it per step.
+/// How the table machine ([`crate::exec`], memoized mode) computes the
+/// candidates of a lowered step — decided once, at lowering, from what the
+/// step's predicates can observe.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StepSelectivity {
-    /// At most one node per context: `self::`/`parent::` steps and child
-    /// steps answered by a positional pick.
-    Singleton,
-    /// Name-bounded: a tag-name test, answerable from a tag index.
-    Named,
-    /// Unbounded axis enumeration (`*`, `node()`, `text()`).
-    Scan,
+pub enum StepRoute {
+    /// One axis enumeration per context node, candidates filtered with their
+    /// proximity positions (XPath 1.0 §2.4): the step has a positional pick,
+    /// or a predicate that reads `position()`/`last()` or may evaluate to a
+    /// number.
+    PerContext,
+    /// One candidate set for the whole context set, deduplicated *before*
+    /// any predicate runs; every predicate is then one filter pass over the
+    /// distinct candidates.  Sound because no predicate of the step can
+    /// observe a proximity position.
+    Set,
+}
+
+impl StepRoute {
+    /// `"per-context"` / `"set"` — the spelling of [`PlanIr::explain`] and
+    /// the profile table's route column.
+    pub fn name(self) -> &'static str {
+        match self {
+            StepRoute::PerContext => "per-context",
+            StepRoute::Set => "set",
+        }
+    }
+}
+
+/// How the table machine answers one predicate of a step.
+#[derive(Clone, Debug, PartialEq)]
+pub enum PredRoute {
+    /// One evaluation of the predicate opcode per candidate.
+    PerCandidate,
+    /// A position-free Core XPath condition: the set of nodes at which it
+    /// holds is computed once per evaluation, bottom-up through inverse axes
+    /// (`IrLinear::sat`), and candidates are filtered by membership.  The
+    /// handful of candidates of a lookup is still asked one by one: the set
+    /// costs a sweep of the document.
+    Sat,
+    /// A unary test on the candidate's own attribute or text strings,
+    /// compared in place — no node-set value, no string copy, no table entry.
+    InPlace(StringTest),
+}
+
+/// A predicate that only reads strings the candidate carries itself:
+/// `@a = 'c'`, `@a > n`, `starts-with(@a, 'c')`, `text() = 'c'`.
+#[derive(Clone, Debug, PartialEq)]
+pub struct StringTest {
+    /// The strings compared.
+    pub source: StringSource,
+    /// What they are compared with.
+    pub check: StringCheck,
+}
+
+/// The node set a [`StringTest`] reads its strings from.
+#[derive(Clone, Debug, PartialEq)]
+pub enum StringSource {
+    /// `attribute::name` — the values of the candidate's attributes so named.
+    Attribute(String),
+    /// `child::text()` — the candidate's text children.
+    Text,
+}
+
+/// The comparison of a [`StringTest`].
+#[derive(Clone, Debug, PartialEq)]
+pub enum StringCheck {
+    /// `source op constant`, existential over the source's nodes like every
+    /// node-set comparison (XPath 1.0 §3.4); written with the node set on
+    /// the left, so a `constant op source` spelling is stored mirrored.  The
+    /// constant is a number or a string.
+    Compare(RelOp, Value),
+    /// `starts-with(source, 'prefix')` on the string of the source's first
+    /// node (the empty string when there is none).
+    StartsWith(String),
+}
+
+impl std::fmt::Display for StringTest {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let source = match &self.source {
+            StringSource::Attribute(name) => format!("@{name}"),
+            StringSource::Text => "text()".to_string(),
+        };
+        match &self.check {
+            StringCheck::Compare(op, Value::Str(s)) => write!(f, "{source} {} '{s}'", op.symbol()),
+            StringCheck::Compare(op, Value::Number(n)) => write!(f, "{source} {} {n}", op.symbol()),
+            StringCheck::Compare(op, other) => write!(f, "{source} {} {other:?}", op.symbol()),
+            StringCheck::StartsWith(prefix) => write!(f, "starts-with({source}, '{prefix}')"),
+        }
+    }
 }
 
 /// One lowered location step `axis::test[preds...]`.
@@ -72,12 +153,13 @@ pub struct StepIr {
     /// once here instead of per evaluation).  When the source answers the
     /// pick from an index, the first predicate is skipped at runtime.
     pub pick: Option<PositionalPick>,
-    /// `(start, len)` range of predicate [`OpId`]s in [`PlanIr::preds`].
+    /// `(start, len)` range of predicate [`OpId`]s in [`PlanIr::preds`]
+    /// (and of their routes, stored alongside).
     preds: (u32, u32),
-    /// Static selectivity hint.
-    pub selectivity: StepSelectivity,
+    /// How the table machine computes this step's candidates.
+    pub route: StepRoute,
     /// True when this step is the fusion of a pred-less
-    /// `descendant-or-self::node()` with the pred-less step that followed it.
+    /// `descendant-or-self::node()` with the child step that followed it.
     pub fused: bool,
 }
 
@@ -174,6 +256,8 @@ pub struct PlanIr {
     ops: Vec<OpIr>,
     steps: Vec<StepIr>,
     preds: Vec<OpId>,
+    /// The route of each predicate, index for index with `preds`.
+    pred_routes: Vec<PredRoute>,
     args: Vec<OpId>,
     root: OpId,
     linear_check: Result<(), EvalError>,
@@ -218,6 +302,7 @@ impl PlanIr {
             ops: lowering.ops,
             steps: lowering.steps,
             preds: lowering.preds,
+            pred_routes: lowering.pred_routes,
             args: lowering.args,
             root,
             linear_check,
@@ -257,6 +342,13 @@ impl PlanIr {
     #[inline]
     pub fn step_preds(&self, step: &StepIr) -> &[OpId] {
         &self.preds[step.preds.0 as usize..(step.preds.0 + step.preds.1) as usize]
+    }
+
+    /// The route of each predicate of a step, index for index with
+    /// [`PlanIr::step_preds`].
+    #[inline]
+    pub fn step_pred_routes(&self, step: &StepIr) -> &[PredRoute] {
+        &self.pred_routes[step.preds.0 as usize..(step.preds.0 + step.preds.1) as usize]
     }
 
     /// The argument opcode ids of a `Call` opcode's range.
@@ -319,6 +411,125 @@ impl PlanIr {
         let mut out = Vec::new();
         collect(self, self.root, &mut out)?;
         Some(out)
+    }
+
+    /// One line per location step the table machine would walk, with the
+    /// route lowering chose for it and for each of its predicates:
+    ///
+    /// ```text
+    ///   descendant::item  set, filter @id = 'item3' in place
+    ///   child::person  per-context, pick last()
+    /// ```
+    ///
+    /// Steps are listed in evaluation order from the root opcode; the paths
+    /// inside a predicate evaluated per candidate follow their step,
+    /// indented.  Predicates answered wholesale (`by sat`, `in place`) are
+    /// not descended into — the table machine never walks their steps.
+    pub fn explain(&self) -> String {
+        let mut out = String::new();
+        self.explain_op(self.root, 1, &mut out);
+        out
+    }
+
+    fn explain_op(&self, id: OpId, depth: usize, out: &mut String) {
+        use std::fmt::Write;
+        match &self.op(id).kind {
+            OpKind::Path { steps, .. } => {
+                for step in self.path_steps(*steps) {
+                    let _ = write!(
+                        out,
+                        "{:depth$}{}::{}  {}",
+                        "",
+                        step.axis,
+                        step.test,
+                        step.route.name(),
+                        depth = depth * 2
+                    );
+                    let preds = self
+                        .step_preds(step)
+                        .iter()
+                        .zip(self.step_pred_routes(step));
+                    for (i, (&pred, route)) in preds.clone().enumerate() {
+                        let _ = match (route, step.pick) {
+                            (_, Some(PositionalPick::Last)) if i == 0 => {
+                                write!(out, ", pick last()")
+                            }
+                            (_, Some(PositionalPick::Nth(k))) if i == 0 => {
+                                write!(out, ", pick {k}")
+                            }
+                            (PredRoute::InPlace(test), _) => {
+                                write!(out, ", filter {test} in place")
+                            }
+                            (PredRoute::Sat, _) => {
+                                write!(out, ", filter {} by sat", self.display_op(pred))
+                            }
+                            (PredRoute::PerCandidate, _) => {
+                                write!(out, ", filter {} per candidate", self.display_op(pred))
+                            }
+                        };
+                    }
+                    out.push('\n');
+                    for (&pred, route) in preds {
+                        if *route == PredRoute::PerCandidate {
+                            self.explain_op(pred, depth + 1, out);
+                        }
+                    }
+                }
+            }
+            OpKind::Union(a, b)
+            | OpKind::Intersect(a, b)
+            | OpKind::Except(a, b)
+            | OpKind::Or(a, b)
+            | OpKind::And(a, b)
+            | OpKind::NodeCompare {
+                left: a, right: b, ..
+            }
+            | OpKind::Relational {
+                left: a, right: b, ..
+            }
+            | OpKind::Arithmetic {
+                left: a, right: b, ..
+            } => {
+                self.explain_op(*a, depth, out);
+                self.explain_op(*b, depth, out);
+            }
+            OpKind::Not(e) | OpKind::Neg(e) => self.explain_op(*e, depth, out),
+            OpKind::Call { args, .. } => {
+                for &arg in self.call_args(*args) {
+                    self.explain_op(arg, depth, out);
+                }
+            }
+            OpKind::Number(_) | OpKind::Literal(_) | OpKind::Variable(_) => {}
+        }
+    }
+
+    /// The route column of the profile table, one label per opcode in plan
+    /// order: the step routes of a path (`set,per-context`), `sat` / `in
+    /// place` for a predicate answered wholesale, `-` otherwise.
+    pub fn route_labels(&self) -> Vec<Cow<'static, str>> {
+        let mut labels: Vec<Cow<'static, str>> = self
+            .ops
+            .iter()
+            .map(|op| match &op.kind {
+                OpKind::Path { steps, .. } => match self.path_steps(*steps) {
+                    [] => Cow::Borrowed("-"),
+                    [one] => Cow::Borrowed(one.route.name()),
+                    steps => {
+                        let routes: Vec<&str> = steps.iter().map(|s| s.route.name()).collect();
+                        Cow::Owned(routes.join(","))
+                    }
+                },
+                _ => Cow::Borrowed("-"),
+            })
+            .collect();
+        for (&pred, route) in self.preds.iter().zip(&self.pred_routes) {
+            match route {
+                PredRoute::Sat => labels[pred as usize] = Cow::Borrowed("sat"),
+                PredRoute::InPlace(_) => labels[pred as usize] = Cow::Borrowed("in place"),
+                PredRoute::PerCandidate => {}
+            }
+        }
+        labels
     }
 
     /// Renders one opcode back to XPath-ish surface syntax (used in
@@ -412,6 +623,7 @@ struct Lowering<'r> {
     ops: Vec<OpIr>,
     steps: Vec<StepIr>,
     preds: Vec<OpId>,
+    pred_routes: Vec<PredRoute>,
     args: Vec<OpId>,
     fused_steps: u32,
 }
@@ -423,6 +635,7 @@ impl<'r> Lowering<'r> {
             ops: Vec::new(),
             steps: Vec::new(),
             preds: Vec::new(),
+            pred_routes: Vec::new(),
             args: Vec::new(),
             fused_steps: 0,
         }
@@ -512,9 +725,10 @@ impl<'r> Lowering<'r> {
             let step = &path.steps[i];
             if let Some(next) = path.steps.get(i + 1) {
                 if fusable(step, next) {
-                    // `//t` expands to `descendant-or-self::node()/child::t`;
-                    // with no predicates on either step this is exactly
-                    // `descendant::t` under both set and list semantics
+                    // `//t[p]` expands to
+                    // `descendant-or-self::node()/child::t[p]`; when `p`
+                    // cannot observe a proximity position this is exactly
+                    // `descendant::t[p]` under both set and list semantics
                     // (every descendant has a unique parent on the
                     // descendant-or-self frontier).
                     built.push(self.lower_step(next, Some(Axis::Descendant)));
@@ -554,25 +768,111 @@ impl<'r> Lowering<'r> {
             _ => None,
         };
         let pred_ids: Vec<OpId> = step.predicates.iter().map(|p| self.lower_expr(p)).collect();
+        let routes: Vec<PredRoute> = step.predicates.iter().map(pred_route).collect();
         let start = u32::try_from(self.preds.len()).expect("pred arena overflowed u32");
         let len = u32::try_from(pred_ids.len()).expect("pred list overflowed u32");
         self.preds.extend(pred_ids);
-        let selectivity = if pick.is_some() || matches!(axis, Axis::SelfAxis | Axis::Parent) {
-            StepSelectivity::Singleton
-        } else if matches!(test, NodeTest::Name(_) | NodeTest::Resolved { .. }) {
-            StepSelectivity::Named
+        self.pred_routes.extend(routes);
+        // A positional pick is a position-reading first predicate, so a step
+        // that has one is never position-free.
+        let route = if step.predicates.iter().all(position_free) {
+            StepRoute::Set
         } else {
-            StepSelectivity::Scan
+            StepRoute::PerContext
         };
         StepIr {
             axis,
             test,
             pick,
             preds: (start, len),
-            selectivity,
+            route,
             fused: fused_axis.is_some(),
         }
     }
+}
+
+/// The cheapest sound way to answer one predicate, whichever route its step
+/// takes.  `sat` gets exactly the condition grammar of Definition 2.5 — not
+/// every subexpression whose standalone fragment is Core XPath:
+/// `intersect`/`except` are Core in node-set position only, and as a
+/// condition (at the top or under a union) they need a per-context join
+/// `sat` cannot express.
+fn pred_route(pred: &Expr) -> PredRoute {
+    if !position_free(pred) {
+        PredRoute::PerCandidate
+    } else if let Some(test) = string_test(pred) {
+        PredRoute::InPlace(test)
+    } else if is_core_condition(pred) {
+        PredRoute::Sat
+    } else {
+        PredRoute::PerCandidate
+    }
+}
+
+/// Can this predicate observe its candidate's proximity position?  It cannot
+/// when it neither reads `position()`/`last()` nor may evaluate to a number
+/// (a number predicate *is* a position test, §2.4).  A variable's or a
+/// registered function's value is only known at run time, so either at the
+/// top of a predicate counts as a number.
+fn position_free(pred: &Expr) -> bool {
+    let maybe_number = match pred {
+        Expr::Variable(_) => true,
+        Expr::FunctionCall { name, .. } if !is_supported(name) => true,
+        other => other.expr_type() == ExprType::Number,
+    };
+    !maybe_number && !sensitivity(pred)
+}
+
+/// The `//`-fusion guard: a predicate-free `descendant-or-self::node()`
+/// immediately followed by a child step whose predicates are all
+/// position-free.
+fn fusable(step: &Step, next: &Step) -> bool {
+    step.axis == Axis::DescendantOrSelf
+        && matches!(step.node_test, NodeTest::AnyNode)
+        && step.predicates.is_empty()
+        && next.axis == Axis::Child
+        && next.predicates.iter().all(position_free)
+}
+
+/// Recognizes the unary string tests of [`PredRoute::InPlace`].
+fn string_test(pred: &Expr) -> Option<StringTest> {
+    fn source(e: &Expr) -> Option<StringSource> {
+        let path = e.as_path().filter(|p| !p.absolute)?;
+        let [step] = path.steps.as_slice() else {
+            return None;
+        };
+        if !step.predicates.is_empty() {
+            return None;
+        }
+        match (step.axis, &step.node_test) {
+            (Axis::Attribute, NodeTest::Name(name)) => Some(StringSource::Attribute(name.clone())),
+            (Axis::Child, NodeTest::Text) => Some(StringSource::Text),
+            _ => None,
+        }
+    }
+    fn constant(e: &Expr) -> Option<Value> {
+        match e {
+            Expr::Number(n) => Some(Value::Number(*n)),
+            Expr::Literal(s) => Some(Value::Str(s.clone())),
+            _ => None,
+        }
+    }
+    let (source, check) = match pred {
+        Expr::Relational { op, left, right } => {
+            if let (Some(source), Some(c)) = (source(left), constant(right)) {
+                (source, StringCheck::Compare(*op, c))
+            } else {
+                let (c, source) = (constant(left)?, source(right)?);
+                (source, StringCheck::Compare(crate::value::flip(*op), c))
+            }
+        }
+        Expr::FunctionCall { name, args } if name == "starts-with" => match args.as_slice() {
+            [arg, Expr::Literal(prefix)] => (source(arg)?, StringCheck::StartsWith(prefix.clone())),
+            _ => return None,
+        },
+        _ => return None,
+    };
+    Some(StringTest { source, check })
 }
 
 /// Position-sensitivity of a subexpression: does its value, for a fixed
@@ -703,16 +1003,6 @@ fn validate_singleton_success(query: &Expr, registry: &FunctionRegistry) -> Resu
     }
 }
 
-/// The `//`-fusion guard: a predicate-free `descendant-or-self::node()`
-/// immediately followed by a predicate-free child step.
-fn fusable(step: &Step, next: &Step) -> bool {
-    step.axis == Axis::DescendantOrSelf
-        && matches!(step.node_test, NodeTest::AnyNode)
-        && step.predicates.is_empty()
-        && next.axis == Axis::Child
-        && next.predicates.is_empty()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -813,15 +1103,27 @@ mod tests {
         assert_eq!(path.len(), 2);
         assert!(path[0].axis == Axis::Descendant && path[0].fused);
         assert!(path[1].axis == Axis::Child && !path[1].fused);
-        // A predicate on the child step blocks the fusion.
+        // A position-free predicate on the child step rides along...
         let ir = lower("//a[child::b]");
-        assert_eq!(ir.fused_steps(), 0);
+        assert_eq!(ir.fused_steps(), 1);
         let path = match &ir.op(ir.root()).kind {
             OpKind::Path { steps, .. } => ir.path_steps(*steps),
             other => panic!("{other:?}"),
         };
-        assert_eq!(path.len(), 2);
-        assert_eq!(path[0].axis, Axis::DescendantOrSelf);
+        assert_eq!(path.len(), 1);
+        assert_eq!(path[0].axis, Axis::Descendant);
+        assert_eq!(ir.step_preds(&path[0]).len(), 1);
+        // ...one that reads a proximity position blocks the fusion: `//a[1]`
+        // is the first `a` child of each node, not the first descendant.
+        for src in ["//a[1]", "//a[child::b][last()]", "//a[$k]"] {
+            let ir = lower(src);
+            assert_eq!(ir.fused_steps(), 0, "{src}");
+            let path = match &ir.op(ir.root()).kind {
+                OpKind::Path { steps, .. } => ir.path_steps(*steps),
+                other => panic!("{other:?}"),
+            };
+            assert_eq!(path[0].axis, Axis::DescendantOrSelf, "{src}");
+        }
     }
 
     #[test]
@@ -881,17 +1183,78 @@ mod tests {
     }
 
     #[test]
-    fn selectivity_hints() {
-        let ir = lower("/r/a[1]/self::a/descendant::*");
-        let sel: Vec<StepSelectivity> = ir.steps().iter().map(|s| s.selectivity).collect();
+    fn routes_are_decided_at_lowering() {
+        use StepRoute::*;
+        let routes = |src: &str| -> Vec<StepRoute> {
+            let ir = lower(src);
+            match &ir.op(ir.root()).kind {
+                OpKind::Path { steps, .. } => ir.path_steps(*steps).iter().map(|s| s.route),
+                other => panic!("{other:?}"),
+            }
+            .collect()
+        };
         assert_eq!(
-            sel,
-            [
-                StepSelectivity::Named,     // child::r
-                StepSelectivity::Singleton, // child::a[1] (pick)
-                StepSelectivity::Singleton, // self::a
-                StepSelectivity::Scan,      // descendant::*
-            ]
+            routes("/r/a[1]/self::a/descendant::*"),
+            [Set, PerContext, Set, Set]
+        );
+        assert_eq!(routes("/r/a[child::b][@x = 'v']"), [Set, Set]);
+        assert_eq!(routes("/r/a[position() < last()]"), [Set, PerContext]);
+        assert_eq!(routes("/r/a[child::b][2]"), [Set, PerContext]);
+        assert_eq!(routes("ancestor::*[1]"), [PerContext]);
+        // A value only known at run time may be a number, i.e. a position test.
+        assert_eq!(routes("/r/a[$k]"), [Set, PerContext]);
+        assert_eq!(routes("/r/a[count(b)]"), [Set, PerContext]);
+        assert_eq!(routes("/r/a[count(b) > 1]"), [Set, Set]);
+
+        let pred_routes = |src: &str| -> Vec<PredRoute> {
+            let ir = lower(src);
+            let last = ir.steps().last().unwrap();
+            ir.step_pred_routes(last).to_vec()
+        };
+        assert_eq!(pred_routes("/r/a[b and not(c)]"), [PredRoute::Sat]);
+        assert_eq!(
+            pred_routes("/r/a[b][2]"),
+            [PredRoute::Sat, PredRoute::PerCandidate]
+        );
+        assert_eq!(
+            pred_routes("/r/a[b intersect c]"),
+            [PredRoute::PerCandidate]
+        );
+        assert_eq!(pred_routes("/r/a[count(b) > 1]"), [PredRoute::PerCandidate]);
+        assert_eq!(pred_routes("/r/a[b/@x = 'v']"), [PredRoute::PerCandidate]);
+        let in_place = |src: &str| match pred_routes(src).as_slice() {
+            [PredRoute::InPlace(test)] => test.to_string(),
+            other => panic!("{src}: {other:?}"),
+        };
+        assert_eq!(in_place("/r/a[@x = 'v']"), "@x = 'v'");
+        assert_eq!(in_place("/r/a[3 < @x]"), "@x > 3");
+        assert_eq!(in_place("/r/a[text() != 'v']"), "text() != 'v'");
+        assert_eq!(
+            in_place("/r/a[starts-with(@x, 'v')]"),
+            "starts-with(@x, 'v')"
+        );
+    }
+
+    #[test]
+    fn explain_lists_steps_with_their_routes() {
+        assert_eq!(
+            lower("//item[@id = 'item3']").explain(),
+            "  descendant::item  set, filter @id = 'item3' in place\n"
+        );
+        assert_eq!(
+            lower("/site/people/person[last()]/name").explain(),
+            "  child::site  set\n  child::people  set\n  child::person  per-context, pick last()\n  child::name  set\n"
+        );
+        assert_eq!(
+            lower("count(//item[bid/@increase > 6][bid])").explain(),
+            "  descendant::item  set, filter (child::bid/attribute::increase > 6) per candidate, \
+             filter child::bid by sat\n    child::bid  set\n    attribute::increase  set\n"
+        );
+        let ir = lower("//item[bid][1]/name");
+        assert_eq!(ir.route_labels()[ir.root() as usize], "set,per-context,set");
+        assert_eq!(
+            lower("//item[bid][@id = 'item3']").route_labels(),
+            ["sat", "set", "-", "in place", "set"]
         );
     }
 
@@ -1011,7 +1374,7 @@ mod tests {
     fn display_round_trips_recognizably() {
         let ir = lower("//a[child::b and not(@x = 'v')]/c");
         let shown = ir.display_op(ir.root());
-        for needle in ["descendant-or-self", "child::b", "not(", "'v'", "::c"] {
+        for needle in ["descendant::a", "child::b", "not(", "'v'", "::c"] {
             assert!(shown.contains(needle), "{shown} missing {needle}");
         }
     }

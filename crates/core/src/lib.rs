@@ -74,13 +74,14 @@ pub use bindings::Bindings;
 pub use cache::{CacheStats, DocKey, DocumentCache, PlanCache, ShardStats, ShardedPlanCache};
 pub use compile::{
     default_threads, recommended_strategy, CompileOptions, CompiledQuery, QueryOutput,
-    PARALLEL_MIN_CANDIDATES, PARALLEL_MIN_NODES,
 };
 pub use context::{Context, ContextKey};
 pub use engine::{Engine, EngineBuilder, EvalStrategy};
 pub use error::EvalError;
 pub use exec::SuccessTarget;
-pub use ir::{OpId, OpIr, OpKind, PlanIr, StepIr, StepSelectivity};
+pub use ir::{
+    OpId, OpIr, OpKind, PlanIr, PredRoute, StepIr, StepRoute, StringCheck, StringSource, StringTest,
+};
 pub use registry::{FragmentImpact, FunctionHandler, FunctionRegistry, FunctionSignature};
 pub use sets::NodeBitSet;
 pub use stats::EvalStats;

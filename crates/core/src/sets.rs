@@ -101,9 +101,18 @@ impl NodeBitSet {
 
     /// The member nodes in arena-index order.
     pub fn iter_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.len)
-            .filter(|&i| (self.words[i / 64] >> (i % 64)) & 1 == 1)
-            .map(NodeId::from_index)
+        // Word by word, lowest set bit first: empty words cost one compare.
+        // (No bit beyond the universe is ever set.)
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    NodeId::from_index(w * 64 + bit)
+                })
+            })
+        })
     }
 }
 
@@ -179,8 +188,12 @@ pub(crate) fn axis_image<S: AxisSource + ?Sized>(
         }
         Axis::Descendant | Axis::DescendantOrSelf => {
             // Preorder sweep: a node is in the image iff its parent is in
-            // S or already in the image.
+            // S or already in the image.  Attribute nodes have a parent but
+            // are nobody's descendants.
             for &node in order.iter() {
+                if doc.kind(node).is_attribute() {
+                    continue;
+                }
                 if let Some(p) = doc.parent(node) {
                     if s.contains(p) || out.contains(p) {
                         out.insert(node);
@@ -232,10 +245,7 @@ pub(crate) fn axis_image<S: AxisSource + ?Sized>(
             // links.
             let mut min_start = u32::MAX;
             for u in s.iter_nodes() {
-                if doc.kind(u).is_attribute() {
-                    continue;
-                }
-                min_start = min_start.min(subtree_end_of(src, u));
+                min_start = min_start.min(subtree_end_of(src, owner_element(doc, u)));
             }
             if min_start != u32::MAX {
                 // Preorder keys are gapped, so locate the complement
@@ -255,10 +265,8 @@ pub(crate) fn axis_image<S: AxisSource + ?Sized>(
             // sweep is one range scan of the document order.
             let mut max_pre = None;
             for u in s.iter_nodes() {
-                if doc.kind(u).is_attribute() {
-                    continue;
-                }
-                max_pre = Some(max_pre.map_or(doc.pre(u), |m: u32| m.max(doc.pre(u))));
+                let pre = doc.pre(owner_element(doc, u));
+                max_pre = Some(max_pre.map_or(pre, |m: u32| m.max(pre)));
             }
             if let Some(max_pre) = max_pre {
                 let hi = order.partition_point(|&m| doc.pre(m) < max_pre);
@@ -274,6 +282,65 @@ pub(crate) fn axis_image<S: AxisSource + ?Sized>(
         }
     }
     out
+}
+
+/// Pre-image of a node set under an axis relation — the nodes from which
+/// `axis` reaches a member of `t` — in O(|D|).  It is the image under
+/// [`Axis::inverse`] except around attribute nodes, where the axes are not
+/// symmetric: an attribute has a parent, ancestors and its owner's
+/// `following`/`preceding` nodes, yet is nobody's child, descendant, sibling,
+/// `following` or `preceding` node.
+pub(crate) fn axis_preimage<S: AxisSource + ?Sized>(
+    src: &S,
+    order: &[NodeId],
+    axis: Axis,
+    t: &NodeBitSet,
+) -> NodeBitSet {
+    if axis == Axis::SelfAxis {
+        return t.clone();
+    }
+    let doc = src.document();
+    // What the axis can arrive at: attribute nodes through `attribute`,
+    // every other kind through the rest (the self half of the `-or-self`
+    // axes is added at the end).
+    let mut reached = NodeBitSet::empty(t.len);
+    for node in t.iter_nodes() {
+        if doc.kind(node).is_attribute() == axis.principal_is_attribute() {
+            reached.insert(node);
+        }
+    }
+    let mut out = axis_image(src, order, axis.inverse(), &reached);
+    // An attribute node departs along these axes as its owner element does
+    // (`parent` and `ancestor` arrive at the owner itself first).
+    let owners = match axis {
+        Axis::Parent => Some(reached),
+        Axis::Ancestor => {
+            reached.union_with(&out);
+            Some(reached)
+        }
+        Axis::AncestorOrSelf | Axis::Following | Axis::Preceding => Some(out.clone()),
+        _ => None,
+    };
+    for owner in owners.iter().flat_map(NodeBitSet::iter_nodes) {
+        for &a in doc.attributes(owner) {
+            out.insert(a);
+        }
+    }
+    if matches!(axis, Axis::DescendantOrSelf | Axis::AncestorOrSelf) {
+        out.union_with(t);
+    }
+    out
+}
+
+/// The node whose `following`/`preceding` nodes are `n`'s: an attribute
+/// sits between its owner element's start tag and that element's first
+/// child, and neither axis contains attributes or ancestors, so it sees
+/// exactly what its owner sees ([`Document::axis_iter`] agrees).
+fn owner_element(doc: &Document, n: NodeId) -> NodeId {
+    match doc.parent(n) {
+        Some(owner) if doc.kind(n).is_attribute() => owner,
+        _ => n,
+    }
 }
 
 /// Exclusive end of `n`'s preorder subtree interval in key space: from
@@ -329,6 +396,62 @@ pub(crate) fn node_compare(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xpeval_dom::{parse_xml, PreparedDocument};
+
+    #[test]
+    fn images_and_preimages_are_the_axis_relation() {
+        // Against `Document::axis_iter`, node by node, on a document with
+        // attribute and text nodes: the image of {n} is axis(n), the
+        // pre-image of {m} is every n with m in axis(n).
+        let xml = r#"<r x="1"><a x="1" y="2"><b x="2">t<c/></b><b/>u</a><a><b><a z="7"/></b><d/></a>v</r>"#;
+        let doc = parse_xml(xml).unwrap();
+        let prepared = PreparedDocument::new(doc.clone());
+        let nodes: Vec<NodeId> = doc.all_nodes().collect();
+        fn members(set: &NodeBitSet) -> Vec<NodeId> {
+            set.iter_nodes().collect()
+        }
+        fn check<S: AxisSource + ?Sized>(src: &S, nodes: &[NodeId]) {
+            let doc = src.document();
+            let order = src.document_order();
+            let axes = Axis::CORE.into_iter().chain([Axis::Attribute]);
+            for axis in axes {
+                for &n in nodes {
+                    let one = NodeBitSet::singleton(doc.len(), n);
+                    let mut reached = doc.axis_nodes(n, axis);
+                    reached.sort_by_key(|m| m.index());
+                    assert_eq!(
+                        members(&axis_image(src, &order, axis, &one)),
+                        reached,
+                        "{axis} from {n:?}"
+                    );
+                    let reaching: Vec<NodeId> = nodes
+                        .iter()
+                        .copied()
+                        .filter(|&m| doc.axis_nodes(m, axis).contains(&n))
+                        .collect();
+                    assert_eq!(
+                        members(&axis_preimage(src, &order, axis, &one)),
+                        reaching,
+                        "{axis} to {n:?}"
+                    );
+                }
+                // The whole document at once: every node the axis leaves from.
+                let departing: Vec<NodeId> = nodes
+                    .iter()
+                    .copied()
+                    .filter(|&m| !doc.axis_nodes(m, axis).is_empty())
+                    .collect();
+                let all = NodeBitSet::full(doc.len());
+                assert_eq!(
+                    members(&axis_preimage(src, &order, axis, &all)),
+                    departing,
+                    "{axis} to anything"
+                );
+            }
+        }
+        check(&doc, &nodes);
+        check(&prepared, &nodes);
+    }
 
     #[test]
     fn bitset_operations() {

@@ -15,8 +15,8 @@
 //! walks the tree while a [`xpeval_dom::PreparedDocument`] answers name
 //! tests on the child/descendant/following/preceding axes from its indexes.
 //!
-//! [`result_size_bound`] / [`final_step_tag_names`] are the tag-index
-//! selectivity signal of the plan choice in [`crate::compile`].
+//! [`final_step_tag_names`] names the tags a node-set result is bounded
+//! by — what a catalog artifact resolves against its document's tag index.
 
 use crate::context::Context;
 use crate::error::EvalError;
@@ -125,25 +125,11 @@ fn is_position_call(e: &Expr) -> bool {
     matches!(e, Expr::FunctionCall { name, args } if name == "position" && args.is_empty())
 }
 
-/// Upper bound on the size of a node-set query's result, read off the tag
-/// index: a path ending in `axis::tag` (element-principal axis) can select
-/// at most the elements carrying that tag, and a union at most the sum of
-/// its arms.  `None` when the result is not name-bounded
-/// ([`final_step_tag_names`] — the single home of that condition) or the
-/// source has no tag index — the unified "don't know" answer.
-pub fn result_size_bound<S: AxisSource + ?Sized>(expr: &Expr, src: &S) -> Option<usize> {
-    final_step_tag_names(expr)?
-        .iter()
-        .try_fold(0usize, |acc, name| {
-            Some(acc + src.elements_named(name)?.len())
-        })
-}
-
-/// The tag names behind [`result_size_bound`], without a document: the
-/// name tests of a path's final step (one per union arm), under exactly the
-/// conditions that make the tag lists a sound result bound — the final
-/// step's principal node kind is element and its node test is a name.
-/// `None` when the query's result is not name-bounded.
+/// The tag names a node-set query's result is bounded by, without a
+/// document: the name tests of a path's final step (one per union arm),
+/// under exactly the conditions that make the tag lists a sound result
+/// bound — the final step's principal node kind is element and its node
+/// test is a name.  `None` when the query's result is not name-bounded.
 ///
 /// This is the document-independent half of the bound: resolve the returned
 /// names against a concrete document's tag index once (e.g. to

@@ -151,26 +151,31 @@ fn compare_nodeset_scalar(
     let op = if flipped { flip(op) } else { op };
     match scalar {
         Value::Boolean(b) => op.apply_bool(!nodes.is_empty(), *b),
-        Value::Number(n) => nodes
-            .iter()
-            .any(|&x| op.apply(parse_xpath_number(&doc.string_value(x)), *n)),
-        Value::Str(s) => match op {
-            RelOp::Eq | RelOp::Ne => nodes.iter().any(|&x| op.apply_str(&doc.string_value(x), s)),
-            _ => nodes.iter().any(|&x| {
-                op.apply(
-                    parse_xpath_number(&doc.string_value(x)),
-                    parse_xpath_number(s),
-                )
-            }),
-        },
         Value::NodeSet(_) => unreachable!("handled by caller"),
+        atom => nodes
+            .iter()
+            .any(|&x| compare_string_atom(&doc.string_value(x), op, atom)),
+    }
+}
+
+/// `string op atom` for one node's string value against a number or string
+/// operand: numbers compare numerically (the string is read as a number,
+/// NaN when it is not one), strings by (in)equality or, under an order
+/// operator, numerically too (XPath 1.0 §3.4).
+pub(crate) fn compare_string_atom(string: &str, op: RelOp, atom: &Value) -> bool {
+    match atom {
+        Value::Number(n) => op.apply(parse_xpath_number(string), *n),
+        Value::Str(s) => op.apply_str(string, s),
+        Value::Boolean(_) | Value::NodeSet(_) => {
+            unreachable!("node strings are compared with numbers and strings only")
+        }
     }
 }
 
 /// Mirrors an operator across the equality/inequality axis: `a op b` with the
 /// node-set on the right becomes `b flipped-op a` with the node-set on the
 /// left.
-fn flip(op: RelOp) -> RelOp {
+pub(crate) fn flip(op: RelOp) -> RelOp {
     match op {
         RelOp::Eq => RelOp::Eq,
         RelOp::Ne => RelOp::Ne,

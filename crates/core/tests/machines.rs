@@ -5,10 +5,11 @@
 //! normalization — on each [`EvalStrategy`]: a machine either admits the
 //! query and produces that answer, or rejects it as outside its fragment.
 
+use xpeval_core::reference::ReferenceEvaluator;
 use xpeval_core::{
     CompileOptions, CompiledQuery, Context, EvalError, EvalStrategy, SuccessTarget, Value,
 };
-use xpeval_dom::{parse_xml, Document, DocumentBuilder, NodeId};
+use xpeval_dom::{parse_xml, Document, DocumentBuilder, NodeId, PreparedDocument};
 use xpeval_syntax::parse_query;
 
 const BOOKS: &str = r#"<lib><book year="2001"><title>A</title></book><book year="2003"><title>B</title><cite/></book><paper year="2003"><title>C</title></paper></lib>"#;
@@ -304,6 +305,372 @@ fn table_machine_is_polynomial_on_the_exponential_query_family() {
         .collect();
     for w in work.windows(2) {
         assert!(w[1] - w[0] <= 2 * k + 4, "work not linear: {work:?}");
+    }
+}
+
+// -- the table machine's routes, against the AST reference --------------------
+
+const ROUTES: &str = r#"<r x="1"><a x="1" y="abc"><b x="2">t<c/></b><b/>u<a x="10"><b y="2"/><b x="1">t</b></a></a><a><b x="3"><a x="7"><b/></a></b><d/></a>v<e x="abc"><a y="1"><b x="2"/><b>t</b><b x="nan"/></a></e></r>"#;
+
+/// Runs each query on the table machine, on the plain and on the prepared
+/// document, and compares with the AST-level reference evaluator.  `route`
+/// must occur in the plan's `explain()` text, so a case keeps testing the
+/// route it was written for.
+fn table_machine_agrees_with_reference(cases: &[(&str, &str)]) {
+    let doc = parse_xml(ROUTES).unwrap();
+    let prepared = PreparedDocument::new(doc.clone());
+    for &(query, route) in cases {
+        let expr = parse_query(query).unwrap();
+        let expected = ReferenceEvaluator::new(&doc).evaluate(&expr).unwrap();
+        let table = plan(query, CVT);
+        let explained = table.explain();
+        assert!(
+            explained.contains(route),
+            "{query}: no {route:?} in\n{explained}"
+        );
+        assert_eq!(table.run(&doc).unwrap().value, expected, "{query}");
+        assert_eq!(
+            table.run_prepared(&prepared).unwrap().value,
+            expected,
+            "{query} (prepared)"
+        );
+    }
+}
+
+#[test]
+fn steps_that_read_positions_stay_per_context() {
+    table_machine_agrees_with_reference(&[
+        // Reverse axes count proximity positions backwards, per context.
+        ("//b/ancestor::*[1]", "ancestor::*  per-context"),
+        ("//c/ancestor-or-self::node()[2]", "per-context"),
+        (
+            "//b/preceding-sibling::b[last()]",
+            "preceding-sibling::b  per-context",
+        ),
+        ("//b/preceding::*[2]", "preceding::*  per-context"),
+        (
+            "//d/following::b[position() = 1]",
+            "following::b  per-context",
+        ),
+        // Child picks answer from the prepared index, context by context.
+        ("//a/b[2]", "per-context, pick 2"),
+        ("//a/b[last()]/@x", "per-context, pick last()"),
+        ("//a//a/b[1]", "per-context, pick 1"),
+        ("//a/b[position() < last()]", "per-context"),
+        // A number predicate is a position test whatever it is made of.
+        ("//a/b[count(../b) - 1]", "per-context"),
+        ("//a/b[count(c) + 1]", "per-context"),
+        // Iterated predicates re-derive positions after a `sat` filter.
+        ("//a[b][2]", "by sat"),
+        ("//a/b[@x > 1][last()]", "in place"),
+        ("//a/b[not(c)][1]", "per-context"),
+    ]);
+}
+
+#[test]
+fn numbers_hidden_behind_variables_and_functions_stay_per_context() {
+    use xpeval_core::{Bindings, FunctionRegistry, FunctionSignature};
+    let doc = parse_xml(ROUTES).unwrap();
+    let prepared = PreparedDocument::new(doc.clone());
+    let mut registry = FunctionRegistry::new();
+    // Declared as a string, returns a number: only the run knows.
+    registry.register(FunctionSignature::new("second", 0, Some(0)), |_, _, _| {
+        Ok(Value::Number(2.0))
+    });
+    let options = CompileOptions {
+        strategy: Some(CVT),
+        normalize: false,
+        registry: std::sync::Arc::new(registry),
+    };
+    let bindings = Bindings::new().with_number("k", 2.0);
+    for (hidden, spelled_out) in [
+        ("//a/b[$k]", "//a/b[2]"),
+        ("//a/descendant::b[$k]", "//a/descendant::b[2]"),
+        ("//b/ancestor::*[$k]", "//b/ancestor::*[2]"),
+        ("//a/b[second()]", "//a/b[2]"),
+        ("//b/preceding::b[second()]", "//b/preceding::b[2]"),
+    ] {
+        let expected = ReferenceEvaluator::new(&doc)
+            .evaluate(&parse_query(spelled_out).unwrap())
+            .unwrap();
+        let table = CompiledQuery::compile_with(hidden, &options).unwrap();
+        assert!(table.explain().contains("per-context"), "{hidden}");
+        assert_eq!(
+            table.run_bound(&doc, &bindings).unwrap().value,
+            expected,
+            "{hidden}"
+        );
+        assert_eq!(
+            table
+                .run_prepared_bound(&prepared, &bindings)
+                .unwrap()
+                .value,
+            expected,
+            "{hidden} (prepared)"
+        );
+    }
+}
+
+#[test]
+fn position_free_steps_take_the_whole_context_set() {
+    table_machine_agrees_with_reference(&[
+        // Nested contexts: the candidates are deduplicated before the
+        // predicate runs.
+        ("//a//a/b", "child::b  set"),
+        ("//a//a/b[@x = '1']", "in place"),
+        ("//a//b[c or text()]", "by sat"),
+        ("//a/descendant::b[count(c) > 0]", "per candidate"),
+        ("count(//a/descendant::b[count(c) > 0])", "per candidate"),
+        ("//a/descendant::node()", "descendant::node()  set"),
+        ("//a/descendant-or-self::node()[self::b]", "set"),
+        // Attribute context nodes see what their owner element sees.
+        ("//@x/following::b", "following::b  set"),
+        ("//@y/following::*[@x != '']", "in place"),
+        ("//@x/preceding::b", "preceding::b  set"),
+        ("//@x/preceding::node()", "preceding::node()  set"),
+        ("//@x/ancestor::*", "ancestor::*  set"),
+        ("//@x/ancestor-or-self::node()", "set"),
+        ("//@x/descendant-or-self::node()", "set"),
+        ("//@x/following-sibling::node()", "set"),
+        ("//@x/parent::*[b]/@y", "by sat"),
+        ("//@x/self::node()", "set"),
+        ("//@x/self::*", "set"),
+        // The other transitive axes, text and element contexts alike.
+        ("//b/following::a[b]", "by sat"),
+        ("//b/preceding::*[@x > 1]", "in place"),
+        ("//text()/following::*", "following::*  set"),
+        ("//text()/preceding::node()", "set"),
+        ("//b/ancestor::*[@x]", "per candidate"),
+        ("//c/ancestor-or-self::node()", "set"),
+        ("//b/following-sibling::node()[text() = 't']", "in place"),
+        ("//b/preceding-sibling::node()", "set"),
+        ("//a//b/parent::*[@x]/@x", "parent::*  set"),
+        ("//*/self::a[b]", "self::a  set"),
+        // Empty context sets stay empty, whatever the axis.
+        ("//nosuch/following::b[@x]", "set"),
+        ("//nosuch//b[c]", "set"),
+        ("/r/nosuch/a/b[c]/preceding::*", "set"),
+        ("count(//nosuch/ancestor::*[b])", "set"),
+    ]);
+}
+
+#[test]
+fn set_steps_run_from_any_single_context_node() {
+    // One context node keeps the source's own enumeration, attribute and
+    // text nodes included.
+    let doc = parse_xml(ROUTES).unwrap();
+    let prepared = PreparedDocument::new(doc.clone());
+    let contexts: Vec<NodeId> = doc.all_nodes().collect();
+    for query in [
+        "following::b[@x]",
+        "preceding::*[b]",
+        "ancestor::*[@x = '1']",
+        "descendant-or-self::node()/b",
+        "../b[text()]",
+    ] {
+        let expr = parse_query(query).unwrap();
+        let table = plan(query, CVT);
+        for &node in &contexts {
+            let ctx = Context::new(node, 1, 1);
+            let expected = ReferenceEvaluator::new(&doc)
+                .evaluate_with_context(&expr, ctx)
+                .unwrap();
+            assert_eq!(
+                table.run_with_context(&doc, ctx).unwrap().value,
+                expected,
+                "{query} from {node:?}"
+            );
+            assert_eq!(
+                table
+                    .run_prepared_with_context(&prepared, ctx)
+                    .unwrap()
+                    .value,
+                expected,
+                "{query} from {node:?} (prepared)"
+            );
+        }
+    }
+}
+
+#[test]
+fn core_conditions_are_answered_by_satisfaction_sets() {
+    table_machine_agrees_with_reference(&[
+        ("//a[b]/@x", "filter child::b by sat"),
+        ("//a[not(b) or d]", "by sat"),
+        ("//a[b/c and not(descendant::d)]/b", "by sat"),
+        ("//b[parent::a/parent::a]", "by sat"),
+        ("//b[ancestor::a[d]]", "by sat"),
+        ("//a[/r/e]", "by sat"),
+        ("//a[/r/nosuch]", "by sat"),
+        ("//a[b | d]", "by sat"),
+        ("//a[following::d or preceding::d]", "by sat"),
+        ("count(//a[b[c]])", "by sat"),
+        // Attribute candidates: they have a parent, ancestors and their
+        // owner's following/preceding nodes, but are nobody's descendants.
+        ("//@x[parent::a]", "by sat"),
+        ("//@x[../b]", "by sat"),
+        ("//@x[ancestor::a]", "by sat"),
+        ("//@x[ancestor-or-self::node()/parent::e]", "by sat"),
+        ("//@x[following::b]", "by sat"),
+        ("//@x[preceding::b and not(following::d)]", "by sat"),
+        ("//@*[not(parent::a)]", "by sat"),
+        ("//@y/self::node()[parent::a/b]", "by sat"),
+        ("//*[descendant-or-self::node()/parent::b]", "by sat"),
+        ("//*[child::node()]", "by sat"),
+        ("//b[not(node())]", "by sat"),
+        // Set operators are Core XPath as a node set, not as a condition —
+        // at the top of a predicate or under a union.
+        ("//a[b intersect b[c]]", "per candidate"),
+        ("//a[b except b[c]]", "per candidate"),
+        ("//a[b intersect b[c] | d]", "per candidate"),
+        ("//a[(b except b[c]) | d]", "per candidate"),
+        ("//a[d or (b[c] | (b intersect b))]", "per candidate"),
+        ("//a[b[(c except d) | a]]", "per candidate"),
+        ("//a[@x and b]", "per candidate"),
+    ]);
+}
+
+#[test]
+fn core_conditions_hold_at_attribute_and_text_context_nodes() {
+    // `sat` on both machines that use it, from every single context node.
+    let doc = parse_xml(ROUTES).unwrap();
+    let prepared = PreparedDocument::new(doc.clone());
+    for query in [
+        "self::node()[parent::a]",
+        "self::node()[ancestor::a[b]]",
+        "self::node()[ancestor-or-self::node()/parent::e]",
+        "self::node()[following::b or preceding::d]",
+        "self::node()[not(descendant-or-self::node()/parent::a)]",
+        "self::node()[node()]",
+        "ancestor::*[not(parent::a)]",
+    ] {
+        let expr = parse_query(query).unwrap();
+        for node in doc.all_nodes() {
+            let ctx = Context::new(node, 1, 1);
+            let expected = ReferenceEvaluator::new(&doc)
+                .evaluate_with_context(&expr, ctx)
+                .unwrap();
+            for strategy in [LINEAR, CVT] {
+                let machine = plan(query, strategy);
+                assert_eq!(
+                    machine.run_with_context(&doc, ctx).unwrap().value,
+                    expected,
+                    "{query} from {node:?} under {strategy:?}"
+                );
+                assert_eq!(
+                    machine
+                        .run_prepared_with_context(&prepared, ctx)
+                        .unwrap()
+                        .value,
+                    expected,
+                    "{query} from {node:?} under {strategy:?} (prepared)"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn attribute_and_text_tests_compare_in_place() {
+    table_machine_agrees_with_reference(&[
+        ("//a[@x = '1']", "filter @x = '1' in place"),
+        ("//*[@x = 1]", "filter @x = 1 in place"),
+        ("//*[@x != 1]", "in place"),
+        ("//*[@x != 'abc']", "in place"),
+        ("//*[@x > 'abc']", "in place"),
+        ("//*[@x <= 'abc']", "in place"),
+        ("//*[@x >= 2]", "in place"),
+        ("//*[@x < 5]", "in place"),
+        ("//*['2' < @x]", "filter @x > '2' in place"),
+        ("//*[3 >= @x]", "filter @x <= 3 in place"),
+        ("//*[@x = 'nan']", "in place"),
+        ("//*[@nosuch = '']", "in place"),
+        ("//*[@nosuch != '']", "in place"),
+        ("//b[text() = 't']", "filter text() = 't' in place"),
+        ("//*[text() != 't']", "in place"),
+        ("//*[text() > 0]", "in place"),
+        (
+            "//a[starts-with(@y, 'ab')]",
+            "filter starts-with(@y, 'ab') in place",
+        ),
+        ("//*[starts-with(@y, '')]", "in place"),
+        ("//*[starts-with(text(), 't')]", "in place"),
+        ("count(//*[@x = '1' or @y])", "per candidate"),
+        // Not unary tests on the candidate's own strings.
+        ("//a[b/@x = '2']", "per candidate"),
+        ("//a[@x = @y]", "per candidate"),
+        ("//a[@* = '1']", "per candidate"),
+    ]);
+    // A comparison with a missing attribute is false under every operator,
+    // `!=` included; a string that is not a number compares as NaN.
+    assert_eq!(
+        names(ROUTES, "//*[@x != 'abc']"),
+        ["r", "a", "b", "a", "b", "b", "a", "b", "b"]
+    );
+    assert!(names(ROUTES, "//*[@x > 'abc']").is_empty());
+    assert_eq!(names(ROUTES, "//*[@x != 5]").len(), 10);
+    assert_eq!(names(ROUTES, "//*[@x < 5]").len(), 6);
+}
+
+#[test]
+fn constants_have_no_table_and_sat_predicates_no_entries() {
+    let doc = parse_xml(ROUTES).unwrap();
+    let entries = |q| plan(q, CVT).run(&doc).unwrap().stats.table_entries;
+    // One entry: the path itself.  The predicate is one `sat` set.
+    assert_eq!(entries("//a[b and not(d)]"), 1);
+    assert_eq!(entries("//a[@x = '1']"), 1);
+    // `1 + 2`: the sum is tabulated, its operands are not.
+    assert_eq!(entries("1 + 2"), 1);
+    // Per candidate: the comparison, `count(b)` and `child::b` per `a`;
+    // the literal 1 nowhere.
+    let candidates = names(ROUTES, "//a").len();
+    assert_eq!(entries("//a[count(b) > 1]"), 1 + 3 * candidates);
+}
+
+#[test]
+fn sat_sets_wait_for_enough_candidates() {
+    // 3,002 nodes: the two candidates of a lookup are asked directly (a
+    // table entry per candidate and predicate opcode), 1,200 candidates get
+    // the set (no entry), and one-candidate calls add up to the set on the
+    // way — the third one tips it.
+    let xml = format!("<r>{}</r>", "<a><b/><c/><b/><d/></a>".repeat(600));
+    let doc = parse_xml(&xml).unwrap();
+    let prepared = PreparedDocument::new(doc.clone());
+    for (query, entries) in [
+        ("/r/a[2]/b[following-sibling::c]", 1 + 2),
+        ("/r/a[2]/b[not(following-sibling::c)]", 1 + 2 * 2),
+        ("/r/nosuch/b[following-sibling::c]", 1),
+        ("//a/b[following-sibling::c]", 1),
+        ("/r/a/b[1][following-sibling::c]", 1 + 2),
+        ("/r/a/b[2][following-sibling::c]", 1 + 2),
+    ] {
+        let table = plan(query, CVT);
+        assert!(table.explain().contains("by sat"), "{query}");
+        let expected = ReferenceEvaluator::new(&doc)
+            .evaluate(&parse_query(query).unwrap())
+            .unwrap();
+        let outcome = table.run(&doc).unwrap();
+        assert_eq!(outcome.value, expected, "{query}");
+        assert_eq!(outcome.stats.table_entries, entries, "{query}");
+        assert_eq!(
+            table.run_prepared(&prepared).unwrap().value,
+            expected,
+            "{query} (prepared)"
+        );
+    }
+}
+
+#[test]
+fn linear_machine_keeps_attributes_out_of_descendant_images() {
+    // `descendant::node()` never selects attribute nodes, although they
+    // have a parent in the tree.
+    for q in ["/descendant::node()", "//a/descendant-or-self::node()"] {
+        let value = admitted(ROUTES, q, LINEAR);
+        let doc = parse_xml(ROUTES).unwrap();
+        assert!(value
+            .expect_nodes()
+            .iter()
+            .all(|&n| !doc.kind(n).is_attribute()));
     }
 }
 

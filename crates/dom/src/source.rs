@@ -61,11 +61,10 @@ pub enum PositionalPick {
 
 /// What a storage backend can answer without falling back to tree walks.
 ///
-/// Plan selection consults this instead of downcasting to a concrete source
-/// type: a backend that cannot serve a capability gets an *explicitly*
-/// degraded plan (visible in the compile report) rather than a silently slow
-/// one.  Capabilities describe index availability, not correctness — every
-/// [`AxisSource`] answers every query correctly through the defaults.
+/// Callers consult this instead of downcasting to a concrete source type.
+/// Capabilities describe index availability, not correctness — every
+/// [`AxisSource`] answers every query correctly through the defaults, and
+/// no plan choice depends on them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SourceCapabilities {
     /// Tag-name lists and per-parent buckets exist
@@ -200,9 +199,7 @@ pub trait AxisSource: Sync {
         None
     }
 
-    /// The index structures this source can serve.  Plan selection degrades
-    /// strategies that depend on a missing capability (see
-    /// `CompiledQuery::strategy_for_source` in `xpeval-core`).
+    /// The index structures this source can serve.
     fn capabilities(&self) -> SourceCapabilities {
         SourceCapabilities::UNINDEXED
     }

@@ -12,6 +12,7 @@
 //! trace is attached the hook is `Option::None`, checked once per
 //! recording site.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -114,6 +115,11 @@ pub struct TraceSpan {
     pub candidates_in: u64,
     /// Result nodes flowing out, summed over calls.
     pub candidates_out: u64,
+    /// The route the plan chose for the opcode before any document was
+    /// seen — per step `set` or `per-context` for a path, `sat` / `in place`
+    /// for a predicate answered wholesale, `-` otherwise — to read beside
+    /// the measured candidate flow.
+    pub route: Cow<'static, str>,
     /// Nanoseconds spent, summed over calls.
     pub nanos: u64,
 }
@@ -134,6 +140,7 @@ impl TraceSpan {
             calls: 1,
             candidates_in: 0,
             candidates_out: 0,
+            route: Cow::Borrowed("-"),
             nanos,
         }
     }
@@ -160,7 +167,8 @@ impl QueryTrace {
     }
 
     /// Renders the flamegraph-shaped per-opcode profile table: one row per
-    /// span with calls, candidate flow, time, and share of total.
+    /// span with calls, candidate flow, planned route, time, and share of
+    /// total.
     pub fn profile_table(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -173,8 +181,8 @@ impl QueryTrace {
         );
         let _ = writeln!(
             out,
-            "{:<4} {:<8} {:<34} {:<18} {:>7} {:>7} {:>7} {:>11} {:>6}",
-            "op", "kind", "label", "fragment", "calls", "in", "out", "time", "share"
+            "{:<4} {:<8} {:<34} {:<18} {:>7} {:>7} {:>7} {:<20} {:>11} {:>6}",
+            "op", "kind", "label", "fragment", "calls", "in", "out", "route", "time", "share"
         );
         let total = self.total_nanos.max(1);
         for span in &self.spans {
@@ -191,7 +199,7 @@ impl QueryTrace {
             }
             let _ = writeln!(
                 out,
-                "{:<4} {:<8} {:<34} {:<18} {:>7} {:>7} {:>7} {:>11} {:>6}",
+                "{:<4} {:<8} {:<34} {:<18} {:>7} {:>7} {:>7} {:<20} {:>11} {:>6}",
                 op,
                 span.kind.name(),
                 label,
@@ -199,6 +207,7 @@ impl QueryTrace {
                 span.calls,
                 span.candidates_in,
                 span.candidates_out,
+                span.route,
                 format!("{:.1?}", Duration::from_nanos(span.nanos)),
                 share,
             );
@@ -225,7 +234,7 @@ impl QueryTrace {
             let _ = write!(
                 out,
                 "{{\"kind\": \"{}\", \"label\": \"{}\", \"op\": {}, \"fragment\": \"{}\", \
-                 \"calls\": {}, \"in\": {}, \"out\": {}, \"nanos\": {}}}",
+                 \"calls\": {}, \"in\": {}, \"out\": {}, \"route\": \"{}\", \"nanos\": {}}}",
                 s.kind.name(),
                 json_escape(&s.label),
                 s.op.map(|o| o.to_string()).unwrap_or_else(|| "null".into()),
@@ -233,6 +242,7 @@ impl QueryTrace {
                 s.calls,
                 s.candidates_in,
                 s.candidates_out,
+                json_escape(&s.route),
                 s.nanos,
             );
         }
@@ -289,6 +299,7 @@ mod tests {
                     calls: 1,
                     candidates_in: 1,
                     candidates_out: 3,
+                    route: "set,set".into(),
                     nanos: 4000,
                 },
             ],
@@ -303,6 +314,7 @@ mod tests {
         assert!(table.contains("compile"), "table:\n{table}");
         assert!(table.contains("lower"), "table:\n{table}");
         assert!(table.contains("path //a/b"), "table:\n{table}");
+        assert!(table.contains("set,set"), "table:\n{table}");
         assert!(table.contains("100.0%"), "table:\n{table}");
     }
 

@@ -375,6 +375,14 @@ fn is_core_locpath(expr: &Expr, allow_negation: bool, in_condition: bool) -> boo
     }
 }
 
+/// Is `expr` a Core XPath *condition* — a "bexpr" of Definition 2.5, with
+/// negation?  Stricter than `classify(expr).fragment <= CoreXPath`, which
+/// reads `expr` as a standalone query and so admits `intersect`/`except`
+/// (Core XPath in node-set position only) anywhere under a union.
+pub fn is_core_condition(expr: &Expr) -> bool {
+    is_core_bexpr(expr, true)
+}
+
 /// Is `expr` a Core XPath condition ("bexpr" of Definition 2.5)?
 fn is_core_bexpr(expr: &Expr, allow_negation: bool) -> bool {
     match expr {

@@ -87,24 +87,20 @@ fn main() {
 
     // Part 3: the plan the compiler picks per fragment.
     println!("\n== automatic plan selection ==\n");
-    let opts = CompileOptions {
-        threads: 4,
-        ..CompileOptions::default()
-    };
     for src in [
         "/a/b/c",
         "//a[not(child::b)]",
         "//a[position() = last()]",
         "count(//a) > 2",
     ] {
-        let compiled = CompiledQuery::compile_with(src, &opts).unwrap();
+        let compiled = CompiledQuery::compile(src).unwrap();
         println!("{src:35} -> {:?}", compiled.strategy());
     }
 
     // Part 4: the auto-selected plan (parallel, for this pXPath query),
     // served repeatedly through an engine.  The cache reports itself as
     // one Display summary line — no field-by-field printing.
-    let engine = Engine::builder().threads(4).plan_cache_capacity(64).build();
+    let engine = Engine::builder().plan_cache_capacity(64).build();
     let auto = engine.compile("//item[bid/@increase > 6]/name").unwrap();
     assert!(matches!(auto.strategy(), EvalStrategy::Parallel { .. }));
     for _ in 0..3 {

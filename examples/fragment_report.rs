@@ -39,13 +39,7 @@ fn main() {
                 // Parsing is not the whole admission check: compilation
                 // also validates function calls (unknown names, arity)
                 // against the engine's library.
-                let compiled = match CompiledQuery::compile_with(
-                    &src,
-                    &CompileOptions {
-                        threads: 4,
-                        ..CompileOptions::default()
-                    },
-                ) {
+                let compiled = match CompiledQuery::compile(&src) {
                     Ok(c) => c,
                     Err(e) => {
                         println!("{src}\n  !! compile error: {e}\n");

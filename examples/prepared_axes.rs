@@ -1,7 +1,8 @@
 //! The index-aware axes of a prepared document: per-parent tag buckets for
 //! `child::tag`, preorder-interval complements for `following`/`preceding`,
 //! and positional child predicates answered from the position tables — plus
-//! the tag-selectivity signal the automatic strategy choice consumes.
+//! the table machine's set-at-a-time routes, which make a pWF/pXPath
+//! predicate cost about what the bare path costs.
 //!
 //! ```bash
 //! cargo run --release --example prepared_axes
@@ -48,18 +49,31 @@ fn main() {
         );
     }
 
-    // Tag selectivity feeds the plan: a pXPath query on a rare tag degrades
-    // its auto-selected parallel plan to sequential Singleton-Success.
+    // The plan the compiler picks for pWF/pXPath: each query beside its
+    // predicate-free form, median of 31 prepared runs.
     println!();
-    for src in [
-        "//person[position() = last()]",
-        "//europe[position() = last()]",
-    ] {
+    let median = |src: &str| {
         let q = CompiledQuery::compile(src).expect("query compiles");
-        println!(
-            "{src:<34} compiled plan {:?}, on this document {:?}",
-            q.strategy(),
-            q.strategy_for_source(&prepared),
-        );
+        let mut runs: Vec<_> = (0..31)
+            .map(|_| time(|| q.run_prepared(&prepared).unwrap()).1)
+            .collect();
+        runs.sort();
+        (q, runs[runs.len() / 2])
+    };
+    for (src, bare) in [
+        ("//item[@id = 'item3']", "//item"),
+        ("//person[starts-with(@id, 'person1')]", "//person"),
+        ("//item[bid/@increase > 6]/name", "//item/name"),
+        (
+            "/site/people/person[last()]/name",
+            "/site/people/person/name",
+        ),
+        ("//item[position() = last()]/name", "//item/name"),
+    ] {
+        let ((q, with_predicate), (_, without)) = (median(src), median(bare));
+        println!("{src}: {with_predicate:?}   ({bare}: {without:?})");
+        for line in q.explain().lines() {
+            println!("  {line}");
+        }
     }
 }

@@ -60,7 +60,7 @@ fn main() {
 
     // A serving engine compiles through a bounded LRU plan cache: repeated
     // query strings skip the per-query work entirely.
-    let engine = Engine::builder().threads(4).plan_cache_capacity(64).build();
+    let engine = Engine::builder().plan_cache_capacity(64).build();
     for _ in 0..5 {
         engine.evaluate_str(&doc, "count(//book)").unwrap();
     }

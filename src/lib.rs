@@ -10,9 +10,9 @@
 //!   of Figure 1 (PF, positive Core XPath, Core XPath, WF, pWF, pXPath),
 //! * [`engine`] — the compile-once query pipeline and the evaluation
 //!   engines: the context-value-table dynamic-programming evaluator, the
-//!   naive exponential baseline, the linear-time Core XPath evaluator, the
-//!   parallel LOGCFL-fragment evaluator, and the Singleton-Success decision
-//!   procedure of Lemma 5.4,
+//!   naive exponential baseline, the linear-time Core XPath evaluator, and
+//!   — as explicit pins — the Singleton-Success decision procedure of
+//!   Lemma 5.4 with its data-parallel LOGCFL-fragment loop,
 //! * [`obs`] — the telemetry layer: a dependency-free metrics registry
 //!   (counters, gauges, log2-bucketed latency histograms with
 //!   p50/p90/p99), sampled per-opcode query traces, the
@@ -65,8 +65,8 @@
 //! evaluation strategy consumes through the [`dom::AxisSource`] trait.
 //! Name tests on the child, descendant, following and preceding axes and
 //! positional child predicates (`[k]`, `[last()]`) are answered from the
-//! indexes; tag selectivity additionally feeds the automatic strategy
-//! choice ([`engine::CompiledQuery::strategy_for_source`]).
+//! indexes; the strategy itself is chosen from the query's fragment alone
+//! ([`engine::CompiledQuery::explain`] prints it, step routes included).
 //! Pair a compiled query with a prepared document and both halves of the
 //! pipeline are paid exactly once:
 //!
@@ -82,9 +82,9 @@
 //! }
 //! ```
 //!
-//! Large results can stream instead of materializing a result vector: the
-//! Singleton-Success plan decides each candidate's membership *as the
-//! stream reaches it* (consuming a prefix does a prefix of the decisions),
+//! Large results can stream instead of materializing a result vector: a
+//! pinned Singleton-Success plan decides each candidate's membership *as
+//! the stream reaches it* (consuming a prefix does a prefix of the decisions),
 //! and the linear plan — which is inherently set-at-a-time — walks its
 //! result bitset lazily after the one O(|D|·|Q|) evaluation:
 //!
@@ -108,7 +108,7 @@
 //! use std::sync::Arc;
 //! use xpeval::prelude::*;
 //!
-//! let engine = Engine::builder().threads(2).plan_cache_capacity(256).build();
+//! let engine = Engine::builder().plan_cache_capacity(256).build();
 //! let doc = Arc::new(parse_xml("<lib><book/><book/></lib>").unwrap());
 //! let prepared = engine.prepare_keyed(1, &doc); // cached under the stable id
 //! for _ in 0..10 {
@@ -262,9 +262,8 @@
 //! cache** holding document-specialized plans — strategy choice pinned,
 //! final-step name tests pre-resolved to the document's interned
 //! [`TagId`](dom::TagId)s, candidate bounds precomputed — so repeated
-//! evaluation of the same pair skips selectivity probing and strategy
-//! selection, and a verified zero candidate bound skips evaluation
-//! itself:
+//! evaluation of the same pair skips tag resolution, and a verified zero
+//! candidate bound skips evaluation itself:
 //!
 //! ```
 //! use xpeval::prelude::*;
@@ -303,7 +302,8 @@
 //! and location-path steps in a [`StepIr`](engine::StepIr) table carrying
 //! per-step metadata — axis, name test pre-resolved to the
 //! **workspace-global** interned [`TagId`](dom::TagId), precomputed
-//! positional pick, selectivity hint, `//`-fusion flag.  All five
+//! positional pick, the set-at-a-time or per-context route, `//`-fusion
+//! flag.  All five
 //! evaluation strategies execute this IR instead of re-walking the AST,
 //! which turns an artifact-cache hit into a dispatch.
 //!

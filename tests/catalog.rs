@@ -175,7 +175,7 @@ fn generation_bump_invalidates_stale_artifacts_deterministically() {
 /// fixed strategy's fragment fails identically on both paths).
 fn assert_fanout_matches_prepared(documents: &[(String, Document)], queries: &[String]) {
     for strategy in ALL_STRATEGIES {
-        let engine = Engine::builder().strategy(strategy).threads(2).build();
+        let engine = Engine::builder().strategy(strategy).build();
         let catalog = Catalog::builder().engine(engine.clone()).build();
         let mut prepared: Vec<(String, PreparedDocument)> = Vec::new();
         for (name, doc) in documents {

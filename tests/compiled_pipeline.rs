@@ -70,11 +70,12 @@ fn strategies_agree_on_the_pwf_corpus() {
     for (name, query) in pwf_query_corpus() {
         let compiled =
             CompiledQuery::compile(&query.to_string()).unwrap_or_else(|e| panic!("{name}: {e}"));
-        // pWF/pXPath queries get the parallel plan.
-        assert!(
-            matches!(compiled.strategy(), EvalStrategy::Parallel { .. }),
-            "{name}: {:?}",
-            compiled.strategy()
+        // pWF/pXPath queries run on the table machine; the per-candidate
+        // Singleton-Success procedure is among the pins compared below.
+        assert_eq!(
+            compiled.strategy(),
+            EvalStrategy::ContextValueTable,
+            "{name}"
         );
         assert_strategies_agree(&doc, name, &compiled);
     }
@@ -155,7 +156,7 @@ fn evaluate_many_over_every_element_context() {
 fn evaluate_batch_runs_heterogeneous_plans() {
     let mut rng = StdRng::seed_from_u64(83);
     let doc = auction_site_document(&mut rng, 10);
-    let engine = Engine::builder().threads(2).build();
+    let engine = Engine::builder().build();
     let plans: Vec<_> = [
         "//item/name",
         "//item[position() = last()]",

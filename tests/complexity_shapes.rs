@@ -8,12 +8,18 @@
 //! * data complexity: for a fixed query, the DP evaluator's table size grows
 //!   linearly in |D| (Theorem 7.2) — experiment E10;
 //! * query complexity: for a fixed document, the DP evaluator's work grows
-//!   linearly in |Q| for PF chains (Theorem 7.3) — experiment E11.
+//!   linearly in |Q| for PF chains (Theorem 7.3) — experiment E11;
+//! * the plan the engine picks itself scales near-linearly in |D| on the
+//!   benchmark's pWF/pXPath and full-XPath queries, and wrapping a query in
+//!   `count(…)` — which changes its fragment — does not change its cost.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use xpeval::engine::reference::ReferenceEvaluator;
 use xpeval::prelude::*;
-use xpeval::workloads::{blowup_document, blowup_query, oscillating_query, random_tree_document};
+use xpeval::workloads::{
+    auction_site_document, blowup_document, blowup_query, oscillating_query, random_tree_document,
+};
 
 /// The work counters of one run of `query` on the machine behind `strategy`.
 fn work(doc: &Document, query: &Expr, strategy: EvalStrategy) -> EvalStats {
@@ -50,7 +56,9 @@ fn naive_work_is_geometric_and_dp_work_is_linear() {
 
 #[test]
 fn data_complexity_tables_grow_linearly_in_document_size() {
-    let query = xpeval::syntax::parse_query("//a[descendant::c and not(child::b)]").unwrap();
+    // A predicate the table machine tabulates per candidate (a Core XPath
+    // condition would be one `sat` set and no table at all).
+    let query = xpeval::syntax::parse_query("//a[count(descendant::c) > count(child::b)]").unwrap();
     let mut entries = Vec::new();
     let sizes = [200usize, 400, 800];
     for &nodes in &sizes {
@@ -93,5 +101,90 @@ fn memoization_beats_naive_on_every_blowup_instance() {
             dp.step_context_evaluations < naive.step_context_evaluations,
             "reps={reps}"
         );
+    }
+}
+
+/// The five query texts of the benchmark's `warm_pwf` workload.
+const PWF_QUERIES: [&str; 5] = [
+    "//item[bid/@increase > 6]/name",
+    "//item[@id = 'item3']",
+    "//person[starts-with(@id, 'person1')]",
+    "/site/people/person[last()]/name",
+    "//item[position() = last()]/name",
+];
+
+/// The `warm_xpath` queries whose cost per context node used to grow with
+/// the document.
+const XPATH_QUERIES: [&str; 3] = [
+    "count(/descendant::seller/following::bid)",
+    "count(//item[count(bid) > 2])",
+    "//item[bid][1]/name | //person[1]/name",
+];
+
+/// The counters of one run under the plan the compiler picks itself.
+fn auto_work(doc: &Document, query: &str) -> EvalStats {
+    CompiledQuery::compile(query)
+        .unwrap()
+        .run(doc)
+        .unwrap()
+        .stats
+}
+
+fn counter_sum(stats: EvalStats) -> f64 {
+    (stats.evaluations + stats.step_context_evaluations) as f64
+}
+
+#[test]
+fn auto_plans_scale_near_linearly_in_document_size() {
+    let (n, growth) = (30, 4);
+    let small = auction_site_document(&mut StdRng::seed_from_u64(21), n);
+    let large = auction_site_document(&mut StdRng::seed_from_u64(21), growth * n);
+    // Exponent 1.2 in the document size, the benchmark's bar for the plan
+    // the engine picks itself.
+    let bound = (growth as f64).powf(1.2);
+    for query in PWF_QUERIES.iter().chain(&XPATH_QUERIES) {
+        let (before, after) = (auto_work(&small, query), auto_work(&large, query));
+        let work = counter_sum(after) / counter_sum(before);
+        assert!(work <= bound, "{query}: work grew {work:.2}x");
+        let tables = after.table_entries.max(1) as f64 / before.table_entries.max(1) as f64;
+        assert!(tables <= bound, "{query}: tables grew {tables:.2}x");
+    }
+}
+
+#[test]
+fn wrapping_a_query_in_count_does_not_change_its_cost() {
+    // `count(…)` lifts a pWF/pXPath query into full XPath; the plan, and
+    // with it the work, must not depend on that.
+    let doc = auction_site_document(&mut StdRng::seed_from_u64(22), 120);
+    for query in PWF_QUERIES {
+        let bare = counter_sum(auto_work(&doc, query));
+        let wrapped = counter_sum(auto_work(&doc, &format!("count({query})")));
+        let ratio = wrapped / bare;
+        assert!(
+            ratio > 0.5 && ratio < 2.0,
+            "{query}: {bare} bare vs {wrapped} wrapped"
+        );
+    }
+}
+
+#[test]
+fn auto_plan_pinned_machines_and_reference_agree_on_the_pwf_queries() {
+    let doc = auction_site_document(&mut StdRng::seed_from_u64(23), 30);
+    for query in PWF_QUERIES {
+        let plan = CompiledQuery::compile(query).unwrap();
+        let expected = ReferenceEvaluator::new(&doc).evaluate(plan.expr()).unwrap();
+        assert!(!expected.clone().expect_nodes().is_empty(), "{query}");
+        assert_eq!(plan.run(&doc).unwrap().value, expected, "{query} auto");
+        for strategy in [
+            EvalStrategy::ContextValueTable,
+            EvalStrategy::SingletonSuccess,
+        ] {
+            let pinned = plan.clone().with_strategy(strategy);
+            assert_eq!(
+                pinned.run(&doc).unwrap().value,
+                expected,
+                "{query} via {strategy:?}"
+            );
+        }
     }
 }

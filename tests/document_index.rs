@@ -170,7 +170,7 @@ fn prepared_evaluation_agrees_across_strategies_on_a_real_workload() {
 fn engine_serves_prepared_documents_through_its_cache() {
     let mut rng = StdRng::seed_from_u64(93);
     let doc = Arc::new(auction_site_document(&mut rng, 8));
-    let engine = Engine::builder().threads(2).build();
+    let engine = Engine::builder().build();
 
     let p1 = engine.prepare_keyed(93, &doc);
     let p2 = engine.prepare_keyed(93, &doc);
@@ -186,20 +186,20 @@ fn engine_serves_prepared_documents_through_its_cache() {
 }
 
 #[test]
-fn small_documents_get_the_sequential_plan_when_auto_selected() {
-    let mut rng = StdRng::seed_from_u64(94);
-    let doc = auction_site_document(&mut rng, 4); // far below PARALLEL_MIN_NODES
-    let prepared = PreparedDocument::new(doc.clone());
+fn the_auto_plan_is_independent_of_document_size() {
     let q = CompiledQuery::compile("//item[position() = last()]").unwrap();
-    assert!(matches!(q.strategy(), EvalStrategy::Parallel { .. }));
-    assert_eq!(
-        q.strategy_for(prepared.node_count()),
-        EvalStrategy::SingletonSuccess,
-        "document size must feed strategy selection"
-    );
-    // And the degraded plan still computes the same answer.
-    assert_eq!(
-        q.run_prepared(&prepared).unwrap().value,
-        q.run(&doc).unwrap().value
-    );
+    assert_eq!(q.strategy(), EvalStrategy::ContextValueTable);
+    let decided = q.clone().with_strategy(EvalStrategy::SingletonSuccess);
+    for items in [4, 120] {
+        let mut rng = StdRng::seed_from_u64(94);
+        let doc = auction_site_document(&mut rng, items);
+        let prepared = PreparedDocument::new(doc.clone());
+        assert_eq!(q.strategy_for_source(&prepared), q.strategy(), "{items}");
+        assert_eq!(q.strategy_for_source(&doc), q.strategy(), "{items}");
+        // Same answer as the pinned Singleton-Success procedure, indexed
+        // or not.
+        let expected = decided.run(&doc).unwrap().value;
+        assert_eq!(q.run_prepared(&prepared).unwrap().value, expected);
+        assert_eq!(q.run(&doc).unwrap().value, expected);
+    }
 }

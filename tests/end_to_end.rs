@@ -77,7 +77,7 @@ fn classification_guides_engine_choice() {
         let reference = Engine::new(EvalStrategy::ContextValueTable)
             .evaluate(&doc, &query)
             .unwrap();
-        let recommended = Engine::recommended_for(&query, 2)
+        let recommended = Engine::recommended_for(&query)
             .evaluate(&doc, &query)
             .unwrap();
         assert_eq!(reference, recommended, "{src}");
@@ -91,7 +91,7 @@ fn full_xpath_queries_fall_back_to_the_dp_engine() {
     let query = parse_query("//product[count(review) = 3]/name").unwrap();
     let report = xpeval::syntax::classify(&query);
     assert_eq!(report.fragment, Fragment::XPath);
-    let engine = Engine::recommended_for(&query, 2);
+    let engine = Engine::recommended_for(&query);
     assert_eq!(engine.strategy(), EvalStrategy::ContextValueTable);
     let v = engine.evaluate(&doc, &query).unwrap();
     assert_eq!(doc.string_value(v.expect_nodes()[0]), "Shears");

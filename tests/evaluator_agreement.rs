@@ -574,10 +574,11 @@ fn work_counters_follow_the_per_strategy_protocol() {
     }
 
     // The DP memo table pays off on overlapping contexts: an ancestor
-    // query revisits (subexpression, context) pairs, so CVT reports hits
-    // where naive reports re-evaluations and list growth instead.
+    // step walked per context (its predicate reads `position()`) revisits
+    // (subexpression, context) pairs, so CVT reports hits where naive
+    // reports re-evaluations and list growth instead.
     let doc = parse_xml("<r><a><b/></a><a><b/></a><a><b/></a></r>").unwrap();
-    let plan = CompiledQuery::compile("//b/ancestor::*[child::b]").unwrap();
+    let plan = CompiledQuery::compile("//b/ancestor::*[position() <= count(child::b)]").unwrap();
     let cvt = plan
         .clone()
         .with_strategy(EvalStrategy::ContextValueTable)

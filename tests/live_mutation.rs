@@ -219,7 +219,7 @@ proptest! {
         let rebuilt_ranks = rank_map(&rebuilt);
 
         for strategy in ALL_STRATEGIES {
-            let engine = Engine::builder().strategy(strategy).threads(2).build();
+            let engine = Engine::builder().strategy(strategy).build();
             for q in QUERIES {
                 let run = |p: &PreparedDocument| {
                     engine
