@@ -6,7 +6,10 @@
 //! [`ContextKey`]s: subexpressions that do not mention `position()`/`last()`
 //! only depend on the context node, which is what keeps the number of
 //! distinct table entries — and hence the combined complexity — polynomial.
+//! The tables hash their keys with [`KeyHasher`].
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use xpeval_dom::{Document, NodeId};
 
 /// A context triple `(node, position, size)`.
@@ -68,6 +71,59 @@ impl ContextKey {
     }
 }
 
+/// The hasher of the evaluators' tables: one multiply per word, where
+/// std's default SipHash spends dozens of cycles per key.  A table key is
+/// made of opcode ids, node ids, positions and sizes that the parser and
+/// the evaluator assign — never bytes taken from the input — so it needs no
+/// keyed hash ([`xpeval_dom::intern`] keeps one for tag names).  Node ids
+/// can still be regular (one per item of a fixed-size record), so `finish`
+/// rotates the well-mixed high half of the product into the low bits the
+/// table picks its bucket from.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct KeyHasher(u64);
+
+impl KeyHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = self
+            .0
+            .wrapping_add(word)
+            .wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// A table keyed by opcode, node and context integers, hashed with
+/// [`KeyHasher`].
+pub(crate) type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,5 +162,20 @@ mod tests {
             ContextKey::for_context(c1, true),
             ContextKey::for_context(c2, true)
         );
+    }
+
+    #[test]
+    fn key_hashes_spread_regular_node_ids_over_buckets() {
+        use std::hash::BuildHasher;
+        // One node every 64 ids, as in a document of equal 64-node records:
+        // the low bits a table indexes by must still differ.
+        let build = BuildHasherDefault::<KeyHasher>::default();
+        let buckets: std::collections::HashSet<u64> = (0..2048usize)
+            .map(|i| {
+                let key = (7u32, ContextKey::Node(NodeId::from_index(64 * i)));
+                build.hash_one(key) & 4095
+            })
+            .collect();
+        assert!(buckets.len() > 1200, "{} buckets", buckets.len());
     }
 }

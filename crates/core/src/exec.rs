@@ -4,7 +4,7 @@
 //!
 //! | IR machine | algorithm | strategy | selected |
 //! |---|---|---|---|
-//! | `IrEvaluator` (memoized) | context-value-table dynamic program (Proposition 2.7, Theorem 7.2); position-free steps set-at-a-time, Core XPath predicates through `IrLinear::sat` | `ContextValueTable` | auto, every fragment above Core XPath |
+//! | `IrEvaluator` (memoized) | context-value-table dynamic program (Proposition 2.7, Theorem 7.2); position-free steps set-at-a-time, positional one-hop steps (`//t[k]` included) set-at-a-time in sibling groups, Core XPath predicates and paths compared with a constant through `IrLinear::sat` | `ContextValueTable` | auto, every fragment above Core XPath |
 //! | `IrEvaluator` (eager) | per-occurrence re-evaluation with list semantics (Section 1) | `Naive` | pin only |
 //! | `IrLinear` | set-at-a-time O(&#124;D&#124;·&#124;Q&#124;) Core XPath (Proposition 2.7) | `CoreXPathLinear` | auto, Core XPath and below |
 //! | `IrSingletonSuccess` | the Lemma 5.4 / Table 1 NAuxPDA, simulated deterministically — the decision procedure behind `CompiledQuery::decide` | `SingletonSuccess` | pin only |
@@ -12,9 +12,9 @@
 //!
 //! What the machines do *not* redo at run time is the point: fragment
 //! admission and Definition 6.1 validation are precomputed verdicts
-//! ([`PlanIr::linear_check`] / [`PlanIr::ss_check`]), positional picks and
-//! the route through every step and predicate ([`StepRoute`],
-//! [`PredRoute`]) are pre-decided per step, and name tests arrive
+//! ([`PlanIr::linear_check`] / [`PlanIr::ss_check`]), the route through
+//! every step and predicate ([`StepRoute`], [`PredRoute`], positional picks
+//! included) is pre-decided per step, and name tests arrive
 //! pre-resolved to global [`xpeval_dom::TagId`]s, so the hot loops run
 //! without a single string hash or AST pointer chase.
 //!
@@ -24,7 +24,7 @@
 //! exactly one evaluator, [`crate::reference`], which no request path calls.
 
 use crate::bindings::Bindings;
-use crate::context::{Context, ContextKey};
+use crate::context::{Context, ContextKey, KeyMap};
 use crate::engine::EvalStrategy;
 use crate::error::EvalError;
 use crate::functions::call_function;
@@ -39,10 +39,12 @@ use crate::value::{compare_string_atom, Value};
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::time::Instant;
-use xpeval_dom::{Axis, AxisSource, Document, NodeId, NodeKind, NodeTest};
+use xpeval_dom::{Axis, AxisSource, Document, NodeId, NodeKind, NodeTest, PositionalPick};
 use xpeval_obs::OpTrace;
 use xpeval_syntax::ast::ExprType;
+use xpeval_syntax::RelOp;
 
 /// Per-evaluation environment threaded through the IR machines: the
 /// registered functions visible to `Call` opcodes whose name is not a
@@ -171,15 +173,19 @@ pub(crate) fn execute_ir<S: AxisSource + ?Sized>(
 /// * **memoized** — the context-value-table dynamic program: every
 ///   `(opcode, context-key)` value is computed once (constants have no
 ///   table), paths use set semantics, `and`/`or` short-circuit.  A step is
-///   walked by the route lowering chose for it: [`StepRoute::PerContext`]
-///   enumerates the axis once per context node and filters with proximity
-///   positions; [`StepRoute::Set`] computes one deduplicated candidate set
-///   for the whole context set — O(|D|) however many contexts there are —
-///   and runs each predicate as one filter pass over it.  Either way a
-///   predicate is answered by its [`PredRoute`]: per candidate, by
-///   membership in a `sat` set computed once (when the candidates are
-///   enough of the document to pay for it), or in place on the candidate's
-///   own strings.
+///   walked by the route lowering chose for it: [`StepRoute::Set`] computes
+///   one deduplicated candidate set for the whole context set — O(|D|)
+///   however many contexts there are — and runs each predicate as one
+///   filter pass over it; [`StepRoute::Siblings`] does the same for a
+///   positional step on a one-hop axis, each candidate positioned among
+///   its siblings (after a [`StepRoute::Folded`] `//`, the candidates are
+///   the descendants of the contexts, so the `//` frontier is never built);
+///   [`StepRoute::PerContext`] enumerates a transitive or sibling axis once
+///   per context node.  Whatever the route, a predicate is answered by its
+///   [`PredRoute`]: per candidate, by membership in a `sat` set computed
+///   once (when the candidates are enough of the document to pay for it),
+///   in place on the candidate's own strings, or as a pick read off the
+///   positions.
 /// * **eager** — the naive baseline: every occurrence re-evaluates, paths
 ///   use list semantics with the max-intermediate-list watermark, `and`/`or`
 ///   evaluate both sides, and every step and predicate goes per context
@@ -190,7 +196,7 @@ pub(crate) struct IrEvaluator<'d, 'q, S: AxisSource + ?Sized = Document> {
     ir: &'q PlanIr,
     env: EvalEnv<'q>,
     memoized: bool,
-    memo: HashMap<(OpId, ContextKey), Value>,
+    memo: KeyMap<(OpId, ContextKey), Value>,
     stats: EvalStats,
     /// The set-at-a-time half of the table machine, built on first use:
     /// axis images of whole context sets and the `sat` sets of Core XPath
@@ -198,10 +204,10 @@ pub(crate) struct IrEvaluator<'d, 'q, S: AxisSource + ?Sized = Document> {
     sets: Option<IrLinear<'d, 'q, S>>,
     /// `sat` sets already computed: they hold at a node or not, whatever
     /// the context, so each is computed once per evaluator.
-    sat_sets: HashMap<OpId, NodeBitSet>,
+    sat_sets: KeyMap<OpId, NodeBitSet>,
     /// Candidates a [`PredRoute::Sat`] predicate was asked about one by one
     /// while its set was not yet worth computing.
-    sat_asked: HashMap<OpId, usize>,
+    sat_asked: KeyMap<OpId, usize>,
 }
 
 /// A `sat` set costs one sweep of the document per step of its predicate,
@@ -228,11 +234,11 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrEvaluator<'d, 'q, S> {
             ir,
             env,
             memoized,
-            memo: HashMap::new(),
+            memo: KeyMap::default(),
             stats: EvalStats::default(),
             sets: None,
-            sat_sets: HashMap::new(),
-            sat_asked: HashMap::new(),
+            sat_sets: KeyMap::default(),
+            sat_asked: KeyMap::default(),
         }
     }
 
@@ -307,12 +313,12 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrEvaluator<'d, 'q, S> {
             OpKind::Intersect(a, b) => {
                 let left = self.eval(*a, ctx)?.into_nodes()?;
                 let right = self.eval(*b, ctx)?.into_nodes()?;
-                Ok(Value::NodeSet(sets::set_intersect(left, &right)))
+                Ok(Value::NodeSet(sets::set_intersect(self.doc, left, right)))
             }
             OpKind::Except(a, b) => {
                 let left = self.eval(*a, ctx)?.into_nodes()?;
                 let right = self.eval(*b, ctx)?.into_nodes()?;
-                Ok(Value::NodeSet(sets::set_except(left, &right)))
+                Ok(Value::NodeSet(sets::set_except(self.doc, left, right)))
             }
             OpKind::NodeCompare { op, left, right } => {
                 let l = self.eval(*left, ctx)?.into_nodes()?;
@@ -382,81 +388,147 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrEvaluator<'d, 'q, S> {
         } else {
             vec![ctx.node]
         };
+        if !self.memoized {
+            // List semantics: duplicates preserved, watermark recorded.
+            for step in ir.path_steps(range) {
+                current = self.apply_step_per_context(&current, step)?;
+                self.stats.max_intermediate_list =
+                    self.stats.max_intermediate_list.max(current.len());
+            }
+            return Ok(Value::node_set(self.doc, current));
+        }
+        // Set semantics: document order, no duplicates, each step by its
+        // route.  A folded step leaves its context nodes to the next one.
+        let mut folded = false;
         for step in ir.path_steps(range) {
-            current = if self.memoized && step.route == StepRoute::Set {
-                self.apply_step_to_set(&current, step)?
-            } else {
-                let mut next: Vec<NodeId> = Vec::new();
-                for &node in &current {
-                    self.stats.step_context_evaluations += 1;
-                    next.append(&mut self.apply_step(node, step)?);
+            current = match step.route {
+                StepRoute::Folded => {
+                    folded = true;
+                    continue;
                 }
-                if self.memoized {
-                    // Set semantics: document order, no duplicates.
+                StepRoute::Set | StepRoute::Siblings => {
+                    self.apply_step_to_set(&current, step, std::mem::take(&mut folded))?
+                }
+                StepRoute::PerContext => {
+                    let mut next = self.apply_step_per_context(&current, step)?;
                     self.doc.sort_document_order(&mut next);
-                } else {
-                    // List semantics: duplicates preserved, watermark recorded.
-                    self.stats.max_intermediate_list =
-                        self.stats.max_intermediate_list.max(next.len());
+                    next
                 }
-                next
             };
         }
-        if self.memoized {
-            Ok(Value::NodeSet(current))
-        } else {
-            Ok(Value::node_set(self.doc, current))
-        }
+        Ok(Value::NodeSet(current))
     }
 
-    /// One location step from one context node: candidates from the axis
-    /// in document order, each predicate filtering in turn with proximity
-    /// positions re-derived (XPath 1.0 §2.4); the positional pick was
-    /// recognized at lowering.
-    fn apply_step(&mut self, from: NodeId, step: &StepIr) -> Result<Vec<NodeId>, EvalError> {
-        let ir = self.ir;
-        let preds = ir.step_preds(step).iter().zip(ir.step_pred_routes(step));
-        let picked = step
-            .pick
-            .and_then(|pick| self.src.positional_child_step(from, &step.test, pick));
-        // An index that answered the pick answered the first predicate.
-        let answered = usize::from(picked.is_some());
-        let mut candidates =
-            picked.unwrap_or_else(|| self.src.axis_step(from, step.axis, &step.test));
-        for (&pred, route) in preds.skip(answered) {
-            candidates = self.filter(candidates, Some(step.axis.is_reverse()), pred, route)?;
-        }
-        Ok(candidates)
-    }
-
-    /// One position-free location step from a whole context set (document
-    /// order, no duplicates): the distinct candidates are computed once,
-    /// then each predicate is one filter pass over them.
-    fn apply_step_to_set(
+    /// One location step walked from each context node in turn, the
+    /// selections concatenated.
+    fn apply_step_per_context(
         &mut self,
         contexts: &[NodeId],
         step: &StepIr,
     ) -> Result<Vec<NodeId>, EvalError> {
-        let mut candidates = match contexts {
+        let mut next = Vec::new();
+        for &node in contexts {
+            self.stats.step_context_evaluations += 1;
+            next.append(&mut self.apply_step(node, step)?);
+        }
+        Ok(next)
+    }
+
+    /// One location step from one context node: candidates from the axis
+    /// in document order, each predicate filtering in turn with proximity
+    /// positions re-derived (XPath 1.0 §2.4).  A leading pick on the child
+    /// axis is asked of the source's index first.
+    fn apply_step(&mut self, from: NodeId, step: &StepIr) -> Result<Vec<NodeId>, EvalError> {
+        let ir = self.ir;
+        let routes = ir.step_pred_routes(step);
+        let picked = match routes.first() {
+            Some(PredRoute::Pick(pick)) if step.axis == Axis::Child => {
+                self.src.positional_child_step(from, &step.test, *pick)
+            }
+            _ => None,
+        };
+        // An index that answered the pick answered the first predicate.
+        let answered = usize::from(picked.is_some());
+        let mut candidates =
+            picked.unwrap_or_else(|| self.src.axis_step(from, step.axis, &step.test));
+        let proximity = Proximity::List {
+            reverse: step.axis.is_reverse(),
+        };
+        for (&pred, route) in ir.step_preds(step).iter().zip(routes).skip(answered) {
+            candidates = self.filter(candidates, proximity, pred, route)?;
+        }
+        Ok(candidates)
+    }
+
+    /// A [`StepRoute::Set`] or [`StepRoute::Siblings`] step from a whole
+    /// context set (document order, no duplicates): the distinct candidates
+    /// are computed once — after a `folded` `descendant-or-self::node()`, as
+    /// the descendants of `contexts` — then each predicate is one filter
+    /// pass over them.  One context node keeps the walk of
+    /// [`Self::apply_step`]: the source's indexed enumeration and positional
+    /// picks, so a lookup is not taxed by a sweep of the document.
+    fn apply_step_to_set(
+        &mut self,
+        contexts: &[NodeId],
+        step: &StepIr,
+        folded: bool,
+    ) -> Result<Vec<NodeId>, EvalError> {
+        match contexts {
             [] => return Ok(Vec::new()),
-            // One context node keeps the source's indexed enumeration: a
-            // lookup is not taxed by a sweep of the document.
+            [one] if !folded => {
+                self.stats.step_context_evaluations += 1;
+                return self.apply_step(*one, step);
+            }
+            _ => {}
+        }
+        let axis = if folded { Axis::Descendant } else { step.axis };
+        let mut candidates = self.candidates(contexts, axis, &step.test);
+        // A position-free step sees every candidate alone, and so does one on
+        // `self`/`parent`, where each list is one node.  On `child` and
+        // `attribute` a sibling step's list is a run of siblings: the stable
+        // sort by parent makes the runs (the candidates are in document
+        // order, so this is one pass unless contexts nest, `//a//a/b[1]`).
+        let doc = self.doc;
+        let proximity = if step.route == StepRoute::Siblings
+            && matches!(step.axis, Axis::Child | Axis::Attribute)
+        {
+            candidates.sort_by_key(|&n| doc.parent(n).map(|p| doc.pre(p)));
+            Proximity::Groups
+        } else {
+            Proximity::Alone
+        };
+        let ir = self.ir;
+        for (&pred, route) in ir.step_preds(step).iter().zip(ir.step_pred_routes(step)) {
+            candidates = self.filter(candidates, proximity, pred, route)?;
+        }
+        if proximity == Proximity::Groups {
+            doc.sort_document_order(&mut candidates);
+        }
+        Ok(candidates)
+    }
+
+    /// The distinct nodes `axis::test` selects from a non-empty context set,
+    /// in document order.
+    fn candidates(&mut self, contexts: &[NodeId], axis: Axis, test: &NodeTest) -> Vec<NodeId> {
+        match contexts {
+            // One context node — after a fold, like the root of
+            // `//person[1]` — keeps the source's indexed enumeration.
             [one] => {
                 self.stats.step_context_evaluations += 1;
-                self.src.axis_step(*one, step.axis, &step.test)
+                self.src.axis_step(*one, axis, test)
             }
             // The one-hop axes enumerate what they select and little else:
             // about what an image costs from every `item` of a document, and
             // a tenth of it from a few contexts (`/site/regions/*/item[2]/bid`).
             many if matches!(
-                step.axis,
+                axis,
                 Axis::SelfAxis | Axis::Child | Axis::Parent | Axis::Attribute
             ) =>
             {
                 self.stats.step_context_evaluations += many.len() as u64;
                 let mut selected = Vec::new();
                 for &node in many {
-                    selected.append(&mut self.src.axis_step(node, step.axis, &step.test));
+                    selected.append(&mut self.src.axis_step(node, axis, test));
                 }
                 self.doc.sort_document_order(&mut selected);
                 selected
@@ -465,62 +537,88 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrEvaluator<'d, 'q, S> {
             // enumeration is O(|contexts|·|D|) — so take one O(|D|) image.
             many => {
                 let sets = self.sets();
-                sets.nodes_in_order(&sets.step_image(step, &sets.bits_of(many)))
+                sets.nodes_in_order(&sets.step_image(axis, test, &sets.bits_of(many)))
             }
-        };
-        let ir = self.ir;
-        for (&pred, route) in ir.step_preds(step).iter().zip(ir.step_pred_routes(step)) {
-            candidates = self.filter(candidates, None, pred, route)?;
         }
-        Ok(candidates)
     }
 
-    /// Filters a candidate list by one predicate.  `proximity` is
-    /// `Some(reverse_axis)` when the candidates are one context node's axis
-    /// enumeration, whose proximity positions the predicate may read, and
-    /// `None` for the deduplicated candidates of a position-free step, which
-    /// are evaluated in the context `(node, 1, 1)`.
+    /// Filters candidates by one predicate.  `proximity` says which
+    /// per-context lists the candidates form, and so which proximity
+    /// positions the predicate sees.
     fn filter(
         &mut self,
         mut candidates: Vec<NodeId>,
-        proximity: Option<bool>,
+        proximity: Proximity,
         pred: OpId,
         route: &PredRoute,
     ) -> Result<Vec<NodeId>, EvalError> {
+        let doc = self.doc;
         match route {
             PredRoute::Sat if self.memoized && self.sat_pays(pred, candidates.len()) => {
                 let holds = self.sat_set(pred)?;
                 candidates.retain(|&node| holds.contains(node));
             }
             PredRoute::InPlace(test) if self.memoized => {
-                let start = self.env.trace.map(|_| Instant::now());
-                let before = candidates.len() as u64;
-                self.stats.evaluations += 1;
-                candidates.retain(|&node| holds_in_place(self.doc, test, node));
-                if let (Some(trace), Some(start)) = (self.env.trace, start) {
-                    let nanos = start.elapsed().as_nanos() as u64;
-                    trace.record(pred, before, candidates.len() as u64, nanos);
-                }
+                self.wholesale(pred, &mut candidates, |candidates| {
+                    candidates.retain(|&node| holds_in_place(doc, test, node));
+                });
+            }
+            PredRoute::Pick(pick) if self.memoized => {
+                self.wholesale(pred, &mut candidates, |candidates| {
+                    let picked = proximity
+                        .lists(doc, candidates)
+                        .filter_map(|(list, reverse)| {
+                            let from_start = match *pick {
+                                PositionalPick::Nth(k) if (1..=list.len()).contains(&k) => k - 1,
+                                PositionalPick::Nth(_) => return None,
+                                PositionalPick::Last => list.len() - 1,
+                            };
+                            let idx = if reverse {
+                                list.end - 1 - from_start
+                            } else {
+                                list.start + from_start
+                            };
+                            Some(candidates[idx])
+                        })
+                        .collect();
+                    *candidates = picked;
+                });
             }
             // Eager mode re-evaluates per occurrence by definition.
             _ => {
-                let size = candidates.len();
-                let mut kept = Vec::with_capacity(size);
-                for (idx, &node) in candidates.iter().enumerate() {
-                    let (position, size) = match proximity {
-                        Some(true) => (size - idx, size),
-                        Some(false) => (idx + 1, size),
-                        None => (1, 1),
-                    };
-                    let value = self.eval(pred, Context::new(node, position, size))?;
-                    if predicate_holds(&value, position) {
-                        kept.push(node);
+                let mut kept = Vec::with_capacity(candidates.len());
+                for (list, reverse) in proximity.lists(doc, &candidates) {
+                    let size = list.len();
+                    for (idx, &node) in candidates[list].iter().enumerate() {
+                        let position = if reverse { size - idx } else { idx + 1 };
+                        let value = self.eval(pred, Context::new(node, position, size))?;
+                        if predicate_holds(&value, position) {
+                            kept.push(node);
+                        }
                     }
                 }
                 candidates = kept;
             }
         }
         Ok(candidates)
+    }
+
+    /// Runs `answer`, a predicate answered for all candidates at once
+    /// without evaluating its opcode, as one evaluation of that opcode.
+    fn wholesale(
+        &mut self,
+        pred: OpId,
+        candidates: &mut Vec<NodeId>,
+        answer: impl FnOnce(&mut Vec<NodeId>),
+    ) {
+        let start = self.env.trace.map(|_| Instant::now());
+        let before = candidates.len() as u64;
+        self.stats.evaluations += 1;
+        answer(candidates);
+        if let (Some(trace), Some(start)) = (self.env.trace, start) {
+            let nanos = start.elapsed().as_nanos() as u64;
+            trace.record(pred, before, candidates.len() as u64, nanos);
+        }
     }
 
     fn sets(&mut self) -> &IrLinear<'d, 'q, S> {
@@ -547,6 +645,45 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrEvaluator<'d, 'q, S> {
             self.sat_sets.insert(pred, holds);
         }
         Ok(&self.sat_sets[&pred])
+    }
+}
+
+/// The per-context lists (XPath 1.0 §2.4) a filter's candidates form.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Proximity {
+    /// One context node's axis enumeration, in document order; a reverse
+    /// axis counts positions from the end.
+    List { reverse: bool },
+    /// Runs of siblings, each one context node's forward list.
+    Groups,
+    /// Each candidate alone, at `(node, 1, 1)`: the deduplicated candidates
+    /// of a position-free step, or of a step on `self`/`parent`.
+    Alone,
+}
+
+impl Proximity {
+    /// The lists of `candidates`, as index ranges with their direction.
+    fn lists<'a>(
+        self,
+        doc: &'a Document,
+        candidates: &'a [NodeId],
+    ) -> impl Iterator<Item = (Range<usize>, bool)> + 'a {
+        let mut start = 0;
+        std::iter::from_fn(move || {
+            let rest = &candidates[start..];
+            let first = *rest.first()?;
+            let (len, reverse) = match self {
+                Proximity::List { reverse } => (rest.len(), reverse),
+                Proximity::Groups => {
+                    let parent = doc.parent(first);
+                    let len = rest.iter().position(|&n| doc.parent(n) != parent);
+                    (len.unwrap_or(rest.len()), false)
+                }
+                Proximity::Alone => (1, false),
+            };
+            start += len;
+            Some((start - len..start, reverse))
+        })
     }
 }
 
@@ -609,7 +746,8 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrLinear<'d, 'q, S> {
 
     /// The machine without the whole-plan admission check, for the table
     /// machine: it only hands over what lowering routed here — single steps
-    /// and [`PredRoute::Sat`] predicates, Core XPath each.
+    /// and [`PredRoute::Sat`] predicates: Core XPath conditions, and paths
+    /// compared with a constant.
     fn unchecked(src: &'d S, ir: &'q PlanIr, trace: Option<&'q OpTrace>) -> Self {
         let doc = src.document();
         IrLinear {
@@ -741,19 +879,19 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrLinear<'d, 'q, S> {
         step: &StepIr,
         from: &NodeBitSet,
     ) -> Result<NodeBitSet, EvalError> {
-        let mut image = self.step_image(step, from);
+        let mut image = self.step_image(step.axis, &step.test, from);
         for &pred in self.ir.step_preds(step) {
             image.intersect_with(&self.sat(pred)?);
         }
         Ok(image)
     }
 
-    /// `axis::test` from a whole node set, predicates aside: one O(|D|)
-    /// image under the axis relation, cut down to the node test.
-    fn step_image(&self, step: &StepIr, from: &NodeBitSet) -> NodeBitSet {
+    /// `axis::test` from a whole node set: one O(|D|) image under the axis
+    /// relation, cut down to the node test.
+    fn step_image(&self, axis: Axis, test: &NodeTest, from: &NodeBitSet) -> NodeBitSet {
         self.steps_applied.set(self.steps_applied.get() + 1);
-        let mut image = sets::axis_image(self.src, &self.order, step.axis, from);
-        image.intersect_with(&sets::test_set(self.src, &step.test, step.axis));
+        let mut image = sets::axis_image(self.src, &self.order, axis, from);
+        image.intersect_with(&sets::test_set(self.src, test, axis));
         image
     }
 
@@ -788,32 +926,72 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrLinear<'d, 'q, S> {
                 s.complement();
                 Ok(s)
             }
-            OpKind::Path { absolute, steps } => self.sat_path(*absolute, *steps),
-            _ => Err(EvalError::fragment(
-                xpeval_syntax::Fragment::CoreXPath,
-                format!("condition {}", self.ir.display_op(id)),
-            )),
+            OpKind::Path { absolute, steps } => self.sat_path(*absolute, *steps, None),
+            OpKind::Relational { op, left, right } => {
+                let ir = self.ir;
+                let constant = |id: OpId| match &ir.op(id).kind {
+                    OpKind::Number(n) => Some(Value::Number(*n)),
+                    OpKind::Literal(s) => Some(Value::Str(s.clone())),
+                    _ => None,
+                };
+                // Written with the path on the left.
+                let (path, op, atom) = match (constant(*left), constant(*right)) {
+                    (None, Some(atom)) => (*left, *op, atom),
+                    (Some(atom), None) => (*right, crate::value::flip(*op), atom),
+                    _ => return Err(self.not_a_condition(id)),
+                };
+                match &ir.op(path).kind {
+                    OpKind::Path { absolute, steps } => {
+                        self.sat_path(*absolute, *steps, Some((op, &atom)))
+                    }
+                    _ => Err(self.not_a_condition(id)),
+                }
+            }
+            _ => Err(self.not_a_condition(id)),
         }
     }
 
+    fn not_a_condition(&self, id: OpId) -> EvalError {
+        EvalError::fragment(
+            xpeval_syntax::Fragment::CoreXPath,
+            format!("condition {}", self.ir.display_op(id)),
+        )
+    }
+
     /// `sat(π)` for a location path condition: the set of context nodes from
-    /// which the path selects at least one node.  Computed right-to-left
-    /// through inverse axes in O(|D| · #steps).
-    fn sat_path(&self, absolute: bool, range: (u32, u32)) -> Result<NodeBitSet, EvalError> {
+    /// which the path selects at least one node — with `compare`, one whose
+    /// string value passes the comparison (XPath 1.0 §3.4: a node set
+    /// compared with a constant is existential over its nodes).  Computed
+    /// right-to-left through inverse axes in O(|D| · #steps).
+    fn sat_path(
+        &self,
+        absolute: bool,
+        range: (u32, u32),
+        mut compare: Option<(RelOp, &Value)>,
+    ) -> Result<NodeBitSet, EvalError> {
         // Nodes from which steps[i..] select something.  The empty suffix is
         // satisfied everywhere; walk backwards from there.
         let mut suffix_ok = NodeBitSet::full(self.n);
         for step in self.ir.path_steps(range).iter().rev() {
             self.steps_applied.set(self.steps_applied.get() + 1);
             // Nodes that match this step's test and predicates and already
-            // satisfy the remaining suffix...
+            // satisfy the remaining suffix — the last step's, whose string
+            // passes the comparison...
             let mut target = sets::test_set(self.src, &step.test, step.axis);
             for &pred in self.ir.step_preds(step) {
                 target.intersect_with(&self.sat(pred)?);
             }
             target.intersect_with(&suffix_ok);
+            if let Some((op, atom)) = compare.take() {
+                target = self.compared(&target, op, atom);
+            }
             // ...and the nodes from which the axis reaches such a target.
             suffix_ok = sets::axis_preimage(self.src, &self.order, step.axis, &target);
+        }
+        if let Some((op, atom)) = compare {
+            // `/ op c`, the one path without steps: the root's own string.
+            let root = NodeBitSet::singleton(self.n, self.doc.root());
+            suffix_ok = self.compared(&root, op, atom);
         }
         if absolute {
             // An absolute path does not depend on the context node: it holds
@@ -826,6 +1004,22 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrLinear<'d, 'q, S> {
         } else {
             Ok(suffix_ok)
         }
+    }
+
+    /// The members of `set` whose string value compares true with `atom`.
+    fn compared(&self, set: &NodeBitSet, op: RelOp, atom: &Value) -> NodeBitSet {
+        let mut out = NodeBitSet::empty(self.n);
+        for node in set.iter_nodes() {
+            let passes = match self.doc.kind(node) {
+                NodeKind::Attribute { value, .. } => compare_string_atom(value, op, atom),
+                NodeKind::Text { text } => compare_string_atom(text, op, atom),
+                _ => compare_string_atom(&self.doc.string_value(node), op, atom),
+            };
+            if passes {
+                out.insert(node);
+            }
+        }
+        out
     }
 }
 

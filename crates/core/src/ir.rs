@@ -14,13 +14,14 @@
 //!   translates the global id to its local tag table (absent → empty set), an
 //!   unindexed source falls back to the string the test still carries.  This
 //!   is what makes one lowered plan shareable across equal documents;
-//! * per-step metadata is precomputed: the leading positional pick of a
-//!   child step ([`xpeval_dom::PositionalPick`]), the route the table
-//!   machine takes through the step ([`StepRoute`]: per context node, or
-//!   set-at-a-time) and through each of its predicates ([`PredRoute`]), and
-//!   the `//`-expansion fusion (`descendant-or-self::node()/child::t[p]` →
-//!   `descendant::t[p]`, applied only when no predicate reads a proximity
-//!   position, where it is list- and set-semantics preserving);
+//! * per-step metadata is precomputed: the route the table machine takes
+//!   through the step ([`StepRoute`]: per context node, set-at-a-time, in
+//!   sibling groups, or folded into the next step) and through each of its
+//!   predicates ([`PredRoute`], positional picks
+//!   [`xpeval_dom::PositionalPick`] among them), and the `//`-expansion
+//!   fusion (`descendant-or-self::node()/child::t[p]` → `descendant::t[p]`,
+//!   applied only when no predicate reads a proximity position, where it is
+//!   list- and set-semantics preserving);
 //! * per-opcode static analysis survives lowering: the [`Fragment`] that
 //!   admitted each subexpression, its static `ExprType`, and the
 //!   position-sensitivity bit the context-value tables key on;
@@ -53,24 +54,41 @@ pub type OpId = u32;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StepRoute {
     /// One axis enumeration per context node, candidates filtered with their
-    /// proximity positions (XPath 1.0 §2.4): the step has a positional pick,
-    /// or a predicate that reads `position()`/`last()` or may evaluate to a
-    /// number.
+    /// proximity positions (XPath 1.0 §2.4): a predicate reads
+    /// `position()`/`last()` or may evaluate to a number, on a transitive or
+    /// sibling axis, where one candidate can sit at different positions in
+    /// the lists of different context nodes.
     PerContext,
     /// One candidate set for the whole context set, deduplicated *before*
     /// any predicate runs; every predicate is then one filter pass over the
     /// distinct candidates.  Sound because no predicate of the step can
     /// observe a proximity position.
     Set,
+    /// A predicate reads proximity positions, on an axis where a candidate
+    /// has the same position wherever it occurs: on `child`/`attribute` it
+    /// is in the list of its parent or owner element only, on `self` and
+    /// `parent` every list holds one node, at position 1 of 1.  The
+    /// candidates are computed once for the whole context set, as on
+    /// [`StepRoute::Set`], and each predicate is one filter pass that
+    /// positions a candidate within its group of siblings.
+    Siblings,
+    /// A predicate-free `descendant-or-self::node()` whose nodes only serve
+    /// as context nodes of the [`StepRoute::Siblings`] child step after it:
+    /// that step takes the *descendants* of this step's context nodes as its
+    /// candidates, grouped by parent — every descendant's parent is on the
+    /// frontier — so the frontier itself is never built.
+    Folded,
 }
 
 impl StepRoute {
-    /// `"per-context"` / `"set"` — the spelling of [`PlanIr::explain`] and
-    /// the profile table's route column.
+    /// `"per-context"` / `"set"` / `"siblings"` / `"folded"` — the spelling
+    /// of [`PlanIr::explain`] and the profile table's route column.
     pub fn name(self) -> &'static str {
         match self {
             StepRoute::PerContext => "per-context",
             StepRoute::Set => "set",
+            StepRoute::Siblings => "siblings",
+            StepRoute::Folded => "folded",
         }
     }
 }
@@ -80,7 +98,13 @@ impl StepRoute {
 pub enum PredRoute {
     /// One evaluation of the predicate opcode per candidate.
     PerCandidate,
-    /// A position-free Core XPath condition: the set of nodes at which it
+    /// `[k]`, `[last()]` and their `position() =` spellings: the k-th or
+    /// last candidate of each context node's list, read off the proximity
+    /// positions without evaluating an opcode (the source's index may answer
+    /// a leading pick of a child step from one context node).
+    Pick(PositionalPick),
+    /// A position-free Core XPath condition, or a Core XPath path compared
+    /// with a constant (`bid/@increase > 6`): the set of nodes at which it
     /// holds is computed once per evaluation, bottom-up through inverse axes
     /// (`IrLinear::sat`), and candidates are filtered by membership.  The
     /// handful of candidates of a lookup is still asked one by one: the set
@@ -148,11 +172,6 @@ pub struct StepIr {
     /// [`NodeTest::Resolved`] with the **global** interned id; the name is
     /// kept alongside so unindexed sources still match by string.
     pub test: NodeTest,
-    /// Precomputed leading positional pick (`child::t[k]`, `[last()]` and
-    /// the `position() =` spellings — the [`crate::steps`] recognition, run
-    /// once here instead of per evaluation).  When the source answers the
-    /// pick from an index, the first predicate is skipped at runtime.
-    pub pick: Option<PositionalPick>,
     /// `(start, len)` range of predicate [`OpId`]s in [`PlanIr::preds`]
     /// (and of their routes, stored alongside).
     preds: (u32, u32),
@@ -418,13 +437,14 @@ impl PlanIr {
     ///
     /// ```text
     ///   descendant::item  set, filter @id = 'item3' in place
-    ///   child::person  per-context, pick last()
+    ///   child::person  siblings, pick last()
     /// ```
     ///
     /// Steps are listed in evaluation order from the root opcode; the paths
     /// inside a predicate evaluated per candidate follow their step,
-    /// indented.  Predicates answered wholesale (`by sat`, `in place`) are
-    /// not descended into — the table machine never walks their steps.
+    /// indented.  Predicates answered wholesale (`by sat`, `in place`,
+    /// `pick`) are not descended into — the table machine never walks their
+    /// steps.
     pub fn explain(&self) -> String {
         let mut out = String::new();
         self.explain_op(self.root, 1, &mut out);
@@ -449,21 +469,15 @@ impl PlanIr {
                         .step_preds(step)
                         .iter()
                         .zip(self.step_pred_routes(step));
-                    for (i, (&pred, route)) in preds.clone().enumerate() {
-                        let _ = match (route, step.pick) {
-                            (_, Some(PositionalPick::Last)) if i == 0 => {
-                                write!(out, ", pick last()")
-                            }
-                            (_, Some(PositionalPick::Nth(k))) if i == 0 => {
-                                write!(out, ", pick {k}")
-                            }
-                            (PredRoute::InPlace(test), _) => {
-                                write!(out, ", filter {test} in place")
-                            }
-                            (PredRoute::Sat, _) => {
+                    for (&pred, route) in preds.clone() {
+                        let _ = match route {
+                            PredRoute::Pick(PositionalPick::Last) => write!(out, ", pick last()"),
+                            PredRoute::Pick(PositionalPick::Nth(k)) => write!(out, ", pick {k}"),
+                            PredRoute::InPlace(test) => write!(out, ", filter {test} in place"),
+                            PredRoute::Sat => {
                                 write!(out, ", filter {} by sat", self.display_op(pred))
                             }
-                            (PredRoute::PerCandidate, _) => {
+                            PredRoute::PerCandidate => {
                                 write!(out, ", filter {} per candidate", self.display_op(pred))
                             }
                         };
@@ -504,8 +518,8 @@ impl PlanIr {
     }
 
     /// The route column of the profile table, one label per opcode in plan
-    /// order: the step routes of a path (`set,per-context`), `sat` / `in
-    /// place` for a predicate answered wholesale, `-` otherwise.
+    /// order: the step routes of a path (`folded,siblings,set`), `sat` / `in
+    /// place` / `pick` for a predicate answered wholesale, `-` otherwise.
     pub fn route_labels(&self) -> Vec<Cow<'static, str>> {
         let mut labels: Vec<Cow<'static, str>> = self
             .ops
@@ -523,11 +537,12 @@ impl PlanIr {
             })
             .collect();
         for (&pred, route) in self.preds.iter().zip(&self.pred_routes) {
-            match route {
-                PredRoute::Sat => labels[pred as usize] = Cow::Borrowed("sat"),
-                PredRoute::InPlace(_) => labels[pred as usize] = Cow::Borrowed("in place"),
-                PredRoute::PerCandidate => {}
-            }
+            labels[pred as usize] = Cow::Borrowed(match route {
+                PredRoute::Sat => "sat",
+                PredRoute::InPlace(_) => "in place",
+                PredRoute::Pick(_) => "pick",
+                PredRoute::PerCandidate => continue,
+            });
         }
         labels
     }
@@ -723,13 +738,16 @@ impl<'r> Lowering<'r> {
         let mut i = 0;
         while i < path.steps.len() {
             let step = &path.steps[i];
-            if let Some(next) = path.steps.get(i + 1) {
-                if fusable(step, next) {
-                    // `//t[p]` expands to
-                    // `descendant-or-self::node()/child::t[p]`; when `p`
-                    // cannot observe a proximity position this is exactly
-                    // `descendant::t[p]` under both set and list semantics
-                    // (every descendant has a unique parent on the
+            // `//t[p]` expands to `descendant-or-self::node()/child::t[p]`.
+            let slash_slash = path
+                .steps
+                .get(i + 1)
+                .filter(|next| expands_slash_slash(step) && next.axis == Axis::Child);
+            if let Some(next) = slash_slash {
+                if next.predicates.iter().all(position_free) {
+                    // When `p` cannot observe a proximity position this is
+                    // exactly `descendant::t[p]` under both set and list
+                    // semantics (every descendant has a unique parent on the
                     // descendant-or-self frontier).
                     built.push(self.lower_step(next, Some(Axis::Descendant)));
                     fused_steps += 1;
@@ -737,7 +755,14 @@ impl<'r> Lowering<'r> {
                     continue;
                 }
             }
-            built.push(self.lower_step(step, None));
+            let mut lowered = self.lower_step(step, None);
+            if slash_slash.is_some() {
+                // `p` reads positions, so the child step takes the sibling
+                // route, and by the same argument its groups are the
+                // descendants of this step's context nodes, by parent.
+                lowered.route = StepRoute::Folded;
+            }
+            built.push(lowered);
             i += 1;
         }
         self.fused_steps += fused_steps;
@@ -763,27 +788,25 @@ impl<'r> Lowering<'r> {
             }
             other => other.clone(),
         };
-        let pick = match (axis, step.predicates.first()) {
-            (Axis::Child, Some(first)) => crate::steps::positional_pick(first),
-            _ => None,
-        };
         let pred_ids: Vec<OpId> = step.predicates.iter().map(|p| self.lower_expr(p)).collect();
         let routes: Vec<PredRoute> = step.predicates.iter().map(pred_route).collect();
         let start = u32::try_from(self.preds.len()).expect("pred arena overflowed u32");
         let len = u32::try_from(pred_ids.len()).expect("pred list overflowed u32");
         self.preds.extend(pred_ids);
         self.pred_routes.extend(routes);
-        // A positional pick is a position-reading first predicate, so a step
-        // that has one is never position-free.
         let route = if step.predicates.iter().all(position_free) {
             StepRoute::Set
+        } else if matches!(
+            axis,
+            Axis::Child | Axis::Attribute | Axis::SelfAxis | Axis::Parent
+        ) {
+            StepRoute::Siblings
         } else {
             StepRoute::PerContext
         };
         StepIr {
             axis,
             test,
-            pick,
             preds: (start, len),
             route,
             fused: fused_axis.is_some(),
@@ -796,17 +819,39 @@ impl<'r> Lowering<'r> {
 /// every subexpression whose standalone fragment is Core XPath:
 /// `intersect`/`except` are Core in node-set position only, and as a
 /// condition (at the top or under a union) they need a per-context join
-/// `sat` cannot express.
+/// `sat` cannot express — plus one of its paths compared with a constant.
 fn pred_route(pred: &Expr) -> PredRoute {
-    if !position_free(pred) {
+    if let Some(pick) = crate::steps::positional_pick(pred) {
+        PredRoute::Pick(pick)
+    } else if !position_free(pred) {
         PredRoute::PerCandidate
     } else if let Some(test) = string_test(pred) {
         PredRoute::InPlace(test)
-    } else if is_core_condition(pred) {
+    } else if is_core_condition(pred) || compares_core_path(pred) {
         PredRoute::Sat
     } else {
         PredRoute::PerCandidate
     }
+}
+
+/// `π op c` or `c op π`: a path with Core XPath conditions (on any axis,
+/// `attribute` included) compared with a number or string constant.  The
+/// comparison is existential over the path's nodes (XPath 1.0 §3.4), so
+/// `sat` pulls the nodes whose string passes back through the path like any
+/// other Core condition.
+fn compares_core_path(pred: &Expr) -> bool {
+    let Expr::Relational { left, right, .. } = pred else {
+        return false;
+    };
+    let constant = |e: &Expr| matches!(e, Expr::Number(_) | Expr::Literal(_));
+    let path = |e: &Expr| match e {
+        Expr::Path(path) => path
+            .steps
+            .iter()
+            .all(|step| step.predicates.iter().all(is_core_condition)),
+        _ => false,
+    };
+    (path(left) && constant(right)) || (constant(left) && path(right))
 }
 
 /// Can this predicate observe its candidate's proximity position?  It cannot
@@ -823,15 +868,12 @@ fn position_free(pred: &Expr) -> bool {
     !maybe_number && !sensitivity(pred)
 }
 
-/// The `//`-fusion guard: a predicate-free `descendant-or-self::node()`
-/// immediately followed by a child step whose predicates are all
-/// position-free.
-fn fusable(step: &Step, next: &Step) -> bool {
+/// Is this the predicate-free `descendant-or-self::node()` that `//`
+/// abbreviates?
+fn expands_slash_slash(step: &Step) -> bool {
     step.axis == Axis::DescendantOrSelf
         && matches!(step.node_test, NodeTest::AnyNode)
         && step.predicates.is_empty()
-        && next.axis == Axis::Child
-        && next.predicates.iter().all(position_free)
 }
 
 /// Recognizes the unary string tests of [`PredRoute::InPlace`].
@@ -1129,22 +1171,32 @@ mod tests {
     #[test]
     fn positional_picks_are_precomputed() {
         use PositionalPick::*;
-        let cases = [
-            ("/r/a[2]", Some(Nth(2))),
-            ("/r/a[last()]", Some(Last)),
-            ("/r/a[position() = 3]", Some(Nth(3))),
-            ("/r/a[position() >= 2]", None),
-        ];
-        for (src, expected) in cases {
+        let picks = |src: &str| -> Vec<Option<PositionalPick>> {
             let ir = lower(src);
             let last = ir.steps().last().unwrap();
-            assert_eq!(last.pick, expected, "{src}");
-        }
+            ir.step_pred_routes(last)
+                .iter()
+                .map(|route| match route {
+                    PredRoute::Pick(pick) => Some(*pick),
+                    _ => None,
+                })
+                .collect()
+        };
+        assert_eq!(picks("/r/a[2]"), [Some(Nth(2))]);
+        assert_eq!(picks("/r/a[last()]"), [Some(Last)]);
+        assert_eq!(picks("/r/a[position() = 3]"), [Some(Nth(3))]);
+        assert_eq!(picks("/r/a[3 = position()]"), [Some(Nth(3))]);
+        assert_eq!(picks("/r/a[position() >= 2]"), [None]);
+        assert_eq!(picks("/r/a[0.5]"), [Some(Nth(0))]);
+        // At any predicate index and on any axis.
+        assert_eq!(
+            picks("/r/a[b][last()][1]"),
+            [None, Some(Last), Some(Nth(1))]
+        );
+        assert_eq!(picks("/r/a/ancestor::*[2]"), [Some(Nth(2))]);
         // `//a[1]`: the DoS step is not fused (predicate on child), and the
         // child step's pick is recognized.
-        let ir = lower("//a[1]");
-        let child = ir.steps().iter().find(|s| s.axis == Axis::Child).unwrap();
-        assert_eq!(child.pick, Some(Nth(1)));
+        assert_eq!(picks("//a[1]"), [Some(Nth(1))]);
     }
 
     #[test]
@@ -1195,16 +1247,33 @@ mod tests {
         };
         assert_eq!(
             routes("/r/a[1]/self::a/descendant::*"),
-            [Set, PerContext, Set, Set]
+            [Set, Siblings, Set, Set]
         );
         assert_eq!(routes("/r/a[child::b][@x = 'v']"), [Set, Set]);
-        assert_eq!(routes("/r/a[position() < last()]"), [Set, PerContext]);
-        assert_eq!(routes("/r/a[child::b][2]"), [Set, PerContext]);
+        assert_eq!(routes("/r/a[position() < last()]"), [Set, Siblings]);
+        assert_eq!(routes("/r/a[child::b][2]"), [Set, Siblings]);
+        assert_eq!(
+            routes("/r/@*[2]/parent::*[1]/self::*[1]"),
+            [Set, Siblings, Siblings, Siblings]
+        );
+        // Transitive and sibling axes list one candidate at different
+        // positions for different context nodes.
         assert_eq!(routes("ancestor::*[1]"), [PerContext]);
+        assert_eq!(
+            routes("/r/a/following-sibling::*[1]"),
+            [Set, Set, PerContext]
+        );
         // A value only known at run time may be a number, i.e. a position test.
-        assert_eq!(routes("/r/a[$k]"), [Set, PerContext]);
-        assert_eq!(routes("/r/a[count(b)]"), [Set, PerContext]);
+        assert_eq!(routes("/r/a[$k]"), [Set, Siblings]);
+        assert_eq!(routes("/r/a[count(b)]"), [Set, Siblings]);
         assert_eq!(routes("/r/a[count(b) > 1]"), [Set, Set]);
+        // `//` before a positional child step is folded into it; before a
+        // position-free one it is fused, and before any other step it stays.
+        assert_eq!(routes("//a[1]"), [Folded, Siblings]);
+        assert_eq!(routes("/r//a[b][last()]/c"), [Set, Folded, Siblings, Set]);
+        assert_eq!(routes("//a[b]"), [Set]);
+        assert_eq!(routes("//@x[1]"), [Set, Siblings]);
+        assert_eq!(routes("//ancestor::a[1]"), [Set, PerContext]);
 
         let pred_routes = |src: &str| -> Vec<PredRoute> {
             let ir = lower(src);
@@ -1214,14 +1283,32 @@ mod tests {
         assert_eq!(pred_routes("/r/a[b and not(c)]"), [PredRoute::Sat]);
         assert_eq!(
             pred_routes("/r/a[b][2]"),
-            [PredRoute::Sat, PredRoute::PerCandidate]
+            [PredRoute::Sat, PredRoute::Pick(PositionalPick::Nth(2))]
+        );
+        assert_eq!(
+            pred_routes("/r/a[position() = last() - 1]"),
+            [PredRoute::PerCandidate]
         );
         assert_eq!(
             pred_routes("/r/a[b intersect c]"),
             [PredRoute::PerCandidate]
         );
         assert_eq!(pred_routes("/r/a[count(b) > 1]"), [PredRoute::PerCandidate]);
-        assert_eq!(pred_routes("/r/a[b/@x = 'v']"), [PredRoute::PerCandidate]);
+        // A path compared with a constant is a condition `sat` answers...
+        assert_eq!(pred_routes("/r/a[b/@x = 'v']"), [PredRoute::Sat]);
+        assert_eq!(pred_routes("/r/a[2 < b[c]]"), [PredRoute::Sat]);
+        // ...a path compared with anything else, or one that reads
+        // positions, is not.
+        assert_eq!(pred_routes("/r/a[b/@x = @y]"), [PredRoute::PerCandidate]);
+        assert_eq!(
+            pred_routes("/r/a[b/@x = true()]"),
+            [PredRoute::PerCandidate]
+        );
+        assert_eq!(pred_routes("/r/a[b[1] = 'v']"), [PredRoute::PerCandidate]);
+        assert_eq!(
+            pred_routes("/r/a[(b | c) = 'v']"),
+            [PredRoute::PerCandidate]
+        );
         let in_place = |src: &str| match pred_routes(src).as_slice() {
             [PredRoute::InPlace(test)] => test.to_string(),
             other => panic!("{src}: {other:?}"),
@@ -1243,15 +1330,26 @@ mod tests {
         );
         assert_eq!(
             lower("/site/people/person[last()]/name").explain(),
-            "  child::site  set\n  child::people  set\n  child::person  per-context, pick last()\n  child::name  set\n"
+            "  child::site  set\n  child::people  set\n  child::person  siblings, pick last()\n  child::name  set\n"
+        );
+        assert_eq!(
+            lower("//item[bid][position() = 1]/name").explain(),
+            "  descendant-or-self::node()  folded\n  child::item  siblings, filter child::bid \
+             by sat, pick 1\n  child::name  set\n"
         );
         assert_eq!(
             lower("count(//item[bid/@increase > 6][bid])").explain(),
-            "  descendant::item  set, filter (child::bid/attribute::increase > 6) per candidate, \
-             filter child::bid by sat\n    child::bid  set\n    attribute::increase  set\n"
+            "  descendant::item  set, filter (child::bid/attribute::increase > 6) by sat, \
+             filter child::bid by sat\n"
+        );
+        assert_eq!(
+            lower("//item[bid[1]/@increase > 6]").explain(),
+            "  descendant::item  set, filter (child::bid[1]/attribute::increase > 6) per \
+             candidate\n    child::bid  siblings, pick 1\n    attribute::increase  set\n"
         );
         let ir = lower("//item[bid][1]/name");
-        assert_eq!(ir.route_labels()[ir.root() as usize], "set,per-context,set");
+        assert_eq!(ir.route_labels()[ir.root() as usize], "folded,siblings,set");
+        assert_eq!(lower("/r/a[1]").route_labels(), ["pick", "set,siblings"]);
         assert_eq!(
             lower("//item[bid][@id = 'item3']").route_labels(),
             ["sat", "set", "-", "in place", "set"]

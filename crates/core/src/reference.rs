@@ -108,12 +108,16 @@ impl<'d, S: AxisSource + ?Sized> ReferenceEvaluator<'d, S> {
             Expr::Intersect(a, b) => {
                 let left = self.eval(a, ctx)?.into_nodes()?;
                 let right = self.eval(b, ctx)?.into_nodes()?;
-                Ok(Value::NodeSet(crate::sets::set_intersect(left, &right)))
+                Ok(Value::NodeSet(crate::sets::set_intersect(
+                    self.doc, left, right,
+                )))
             }
             Expr::Except(a, b) => {
                 let left = self.eval(a, ctx)?.into_nodes()?;
                 let right = self.eval(b, ctx)?.into_nodes()?;
-                Ok(Value::NodeSet(crate::sets::set_except(left, &right)))
+                Ok(Value::NodeSet(crate::sets::set_except(
+                    self.doc, left, right,
+                )))
             }
             Expr::NodeCompare { op, left, right } => {
                 let l = self.eval(left, ctx)?.into_nodes()?;

@@ -30,10 +30,11 @@ impl NodeBitSet {
 
     /// Full set over a universe of `len` nodes.
     pub fn full(len: usize) -> Self {
-        let mut s = Self::empty(len);
-        for i in 0..len {
-            s.insert_index(i);
-        }
+        let mut s = NodeBitSet {
+            words: vec![u64::MAX; len.div_ceil(64)],
+            len,
+        };
+        s.clear_beyond_universe();
         s
     }
 
@@ -91,7 +92,10 @@ impl NodeBitSet {
         for w in self.words.iter_mut() {
             *w = !*w;
         }
-        // Clear bits beyond the universe.
+        self.clear_beyond_universe();
+    }
+
+    fn clear_beyond_universe(&mut self) {
         let excess = self.words.len() * 64 - self.len;
         if excess > 0 {
             let last = self.words.len() - 1;
@@ -367,15 +371,38 @@ fn first_following(doc: &Document, n: NodeId) -> Option<NodeId> {
     }
 }
 
-/// Node-set intersection preserving the document order of `left` (both
-/// inputs are already sorted and duplicate-free, so the result is too).
-pub(crate) fn set_intersect(left: Vec<NodeId>, right: &[NodeId]) -> Vec<NodeId> {
-    left.into_iter().filter(|n| right.contains(n)).collect()
+/// Node-set intersection, in document order.
+pub(crate) fn set_intersect(doc: &Document, left: Vec<NodeId>, right: Vec<NodeId>) -> Vec<NodeId> {
+    merge(doc, left, right, true)
 }
 
-/// Node-set difference preserving the document order of `left`.
-pub(crate) fn set_except(left: Vec<NodeId>, right: &[NodeId]) -> Vec<NodeId> {
-    left.into_iter().filter(|n| !right.contains(n)).collect()
+/// Node-set difference, in document order.
+pub(crate) fn set_except(doc: &Document, left: Vec<NodeId>, right: Vec<NodeId>) -> Vec<NodeId> {
+    merge(doc, left, right, false)
+}
+
+/// The members of `left` that are (`in_right`) or are not in `right`, by one
+/// merge on preorder ranks: O(|left| + |right|).  The operands are node sets
+/// in document order already, unless one came from a variable binding or a
+/// registered function, which this puts in order first.
+fn merge(
+    doc: &Document,
+    mut left: Vec<NodeId>,
+    mut right: Vec<NodeId>,
+    in_right: bool,
+) -> Vec<NodeId> {
+    for side in [&mut left, &mut right] {
+        if !side.windows(2).all(|w| doc.pre(w[0]) < doc.pre(w[1])) {
+            doc.sort_document_order(side);
+        }
+    }
+    let mut rest = right.iter().map(|&n| doc.pre(n)).peekable();
+    left.retain(|&n| {
+        let pre = doc.pre(n);
+        while rest.next_if(|&r| r < pre).is_some() {}
+        (rest.peek() == Some(&pre)) == in_right
+    });
+    left
 }
 
 /// The engine's node-comparison semantics: compare the first node in
@@ -451,6 +478,21 @@ mod tests {
         }
         check(&doc, &nodes);
         check(&prepared, &nodes);
+    }
+
+    #[test]
+    fn set_operators_merge_in_document_order() {
+        let doc = parse_xml("<r><a/><b/><c/><d/><e/></r>").unwrap();
+        let [_, r, a, b, c, d, e] = doc.document_order()[..] else {
+            unreachable!()
+        };
+        assert_eq!(set_intersect(&doc, vec![a, b, d], vec![b, c, d, e]), [b, d]);
+        assert_eq!(set_except(&doc, vec![a, b, d], vec![b, c, d, e]), [a]);
+        assert_eq!(set_intersect(&doc, vec![r, a], vec![b, c]), []);
+        assert_eq!(set_except(&doc, vec![r, a], vec![]), [r, a]);
+        // A node set from a binding need not be in order, nor duplicate-free.
+        assert_eq!(set_intersect(&doc, vec![d, a, b], vec![e, b, d, d]), [b, d]);
+        assert_eq!(set_except(&doc, vec![e, a, e, c], vec![c]), [a, e]);
     }
 
     #[test]

@@ -116,9 +116,9 @@ pub struct TraceSpan {
     /// Result nodes flowing out, summed over calls.
     pub candidates_out: u64,
     /// The route the plan chose for the opcode before any document was
-    /// seen — per step `set` or `per-context` for a path, `sat` / `in place`
-    /// for a predicate answered wholesale, `-` otherwise — to read beside
-    /// the measured candidate flow.
+    /// seen — per step `set`, `siblings`, `folded` or `per-context` for a
+    /// path, `sat` / `in place` / `pick` for a predicate answered wholesale,
+    /// `-` otherwise — to read beside the measured candidate flow.
     pub route: Cow<'static, str>,
     /// Nanoseconds spent, summed over calls.
     pub nanos: u64,

@@ -49,8 +49,9 @@ fn main() {
         );
     }
 
-    // The plan the compiler picks for pWF/pXPath: each query beside its
-    // predicate-free form, median of 31 prepared runs.
+    // The plan the compiler picks for pWF/pXPath — the five `warm_pwf`
+    // queries, then two positional `//t[k]` steps of `warm_xpath` — each
+    // beside its predicate-free form, median of 31 prepared runs.
     println!();
     let median = |src: &str| {
         let q = CompiledQuery::compile(src).expect("query compiles");
@@ -69,6 +70,8 @@ fn main() {
             "/site/people/person/name",
         ),
         ("//item[position() = last()]/name", "//item/name"),
+        ("//person[1]/name", "//person/name"),
+        ("//item[bid][1]/name", "//item/name"),
     ] {
         let ((q, with_predicate), (_, without)) = (median(src), median(bare));
         println!("{src}: {with_predicate:?}   ({bare}: {without:?})");

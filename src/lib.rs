@@ -301,9 +301,10 @@
 //! that admitted it, so the complexity classification survives lowering)
 //! and location-path steps in a [`StepIr`](engine::StepIr) table carrying
 //! per-step metadata — axis, name test pre-resolved to the
-//! **workspace-global** interned [`TagId`](dom::TagId), precomputed
-//! positional pick, the set-at-a-time or per-context route, `//`-fusion
-//! flag.  All five
+//! **workspace-global** interned [`TagId`](dom::TagId), the table
+//! machine's route through the step (set-at-a-time, in sibling groups,
+//! folded into the next step, or per context node) and through each
+//! predicate (positional picks among them), `//`-fusion flag.  All five
 //! evaluation strategies execute this IR instead of re-walking the AST,
 //! which turns an artifact-cache hit into a dispatch.
 //!

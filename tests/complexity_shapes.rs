@@ -167,6 +167,42 @@ fn wrapping_a_query_in_count_does_not_change_its_cost() {
     }
 }
 
+/// The benchmark's `//t[k]` queries: a positional child step after `//`.
+const POSITIONAL_QUERIES: [&str; 3] = [
+    "//person[1]/name",
+    "//item[bid][1]/name | //person[1]/name",
+    "//item[position() = last()]/name",
+];
+
+#[test]
+fn positional_steps_do_not_walk_the_descendant_frontier() {
+    // `//t[k]` takes the descendants of the `//` context, grouped by parent:
+    // a handful of step applications whatever the document's size, where a
+    // walk over the `descendant-or-self::node()` frontier makes one per
+    // document node.
+    let n = 150;
+    for items in [n, 4 * n] {
+        let doc = auction_site_document(&mut StdRng::seed_from_u64(24), items);
+        for query in POSITIONAL_QUERIES {
+            let plan = CompiledQuery::compile(query).unwrap();
+            let auto = plan.run(&doc).unwrap();
+            let steps = auto.stats.step_context_evaluations;
+            assert!(steps <= 16, "{query} at {items} items: {steps} steps");
+            let expected = ReferenceEvaluator::new(&doc).evaluate(plan.expr()).unwrap();
+            assert!(!expected.clone().expect_nodes().is_empty(), "{query}");
+            assert_eq!(auto.value, expected, "{query} auto");
+            for strategy in [EvalStrategy::ContextValueTable, EvalStrategy::Naive] {
+                let pinned = plan.clone().with_strategy(strategy);
+                assert_eq!(
+                    pinned.run(&doc).unwrap().value,
+                    expected,
+                    "{query} via {strategy:?}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn auto_plan_pinned_machines_and_reference_agree_on_the_pwf_queries() {
     let doc = auction_site_document(&mut StdRng::seed_from_u64(23), 30);
