@@ -25,7 +25,9 @@
 //! ```
 
 use crate::value::Value;
+use std::borrow::Cow;
 use std::fmt;
+use xpeval_dom::Document;
 
 /// A set of `$name` → value bindings supplied for one evaluation.
 ///
@@ -110,6 +112,31 @@ impl Bindings {
     /// Iterates over `(name, value)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
         self.entries.iter().map(|(n, v)| (n.as_str(), v))
+    }
+
+    /// These bindings with the node sets bound to `used` names in document
+    /// order without repeats — the form every node-set value takes, and
+    /// what `string($v)` reads the first node of (XPath 1.0 §4.2).
+    /// Borrowed when they are in that order already.
+    pub(crate) fn in_document_order(&self, doc: &Document, used: &[String]) -> Cow<'_, Bindings> {
+        let unordered = |(name, value): &(String, Value)| match value {
+            Value::NodeSet(nodes) => {
+                used.contains(name) && nodes.windows(2).any(|w| doc.pre(w[0]) >= doc.pre(w[1]))
+            }
+            _ => false,
+        };
+        if !self.entries.iter().any(unordered) {
+            return Cow::Borrowed(self);
+        }
+        let mut ordered = self.clone();
+        for entry in &mut ordered.entries {
+            if unordered(entry) {
+                if let Value::NodeSet(nodes) = &mut entry.1 {
+                    doc.sort_document_order(nodes);
+                }
+            }
+        }
+        Cow::Owned(ordered)
     }
 }
 

@@ -32,6 +32,7 @@ use crate::registry::{FragmentImpact, FunctionRegistry};
 use crate::stats::EvalStats;
 use crate::stream::NodeStream;
 use crate::value::Value;
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 use xpeval_dom::{AxisSource, Document, NodeId, PreparedDocument};
@@ -349,13 +350,18 @@ impl CompiledQuery {
     }
 
     /// Errors eagerly — before any document work — when `bindings` is
-    /// missing a variable the query references.
-    fn check_bindings(&self, bindings: &Bindings) -> Result<(), EvalError> {
+    /// missing a variable the query references; otherwise the bindings
+    /// with their node sets in `doc`'s document order.
+    fn check_bindings<'b>(
+        &self,
+        bindings: &'b Bindings,
+        doc: &Document,
+    ) -> Result<Cow<'b, Bindings>, EvalError> {
         match self.variables.iter().find(|n| bindings.get(n).is_none()) {
             Some(missing) => Err(EvalError::UnboundVariable {
                 name: missing.clone(),
             }),
-            None => Ok(()),
+            None => Ok(bindings.in_document_order(doc, &self.variables)),
         }
     }
 
@@ -601,8 +607,8 @@ impl CompiledQuery {
         ctx: Context,
         bindings: &Bindings,
     ) -> Result<QueryOutput, EvalError> {
-        self.check_bindings(bindings)?;
-        let (value, stats) = self.dispatch(self.plan, doc, ctx, self.bound_env(bindings))?;
+        let bindings = self.check_bindings(bindings, doc)?;
+        let (value, stats) = self.dispatch(self.plan, doc, ctx, self.bound_env(&bindings))?;
         Ok(QueryOutput {
             value,
             stats,
@@ -626,9 +632,9 @@ impl CompiledQuery {
         ctx: Context,
         bindings: &Bindings,
     ) -> Result<QueryOutput, EvalError> {
-        self.check_bindings(bindings)?;
+        let bindings = self.check_bindings(bindings, doc.document())?;
         let strategy = self.strategy_for_source(doc);
-        let (value, stats) = self.dispatch(strategy, doc, ctx, self.bound_env(bindings))?;
+        let (value, stats) = self.dispatch(strategy, doc, ctx, self.bound_env(&bindings))?;
         Ok(QueryOutput {
             value,
             stats,
@@ -769,8 +775,8 @@ impl CompiledQuery {
         contexts: &[Context],
         bindings: &Bindings,
     ) -> Result<Vec<QueryOutput>, EvalError> {
-        self.check_bindings(bindings)?;
-        self.run_many_on(doc, self.plan, contexts, self.bound_env(bindings))
+        let bindings = self.check_bindings(bindings, doc)?;
+        self.run_many_on(doc, self.plan, contexts, self.bound_env(&bindings))
     }
 
     fn run_many_on<S: AxisSource>(

@@ -6,7 +6,7 @@
 //! [`ContextKey`]s: subexpressions that do not mention `position()`/`last()`
 //! only depend on the context node, which is what keeps the number of
 //! distinct table entries — and hence the combined complexity — polynomial.
-//! The tables hash their keys with [`KeyHasher`].
+//! The tables hash their keys with `KeyHasher`.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

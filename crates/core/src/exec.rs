@@ -4,7 +4,7 @@
 //!
 //! | IR machine | algorithm | strategy | selected |
 //! |---|---|---|---|
-//! | `IrEvaluator` (memoized) | context-value-table dynamic program (Proposition 2.7, Theorem 7.2); position-free steps set-at-a-time, positional one-hop steps (`//t[k]` included) set-at-a-time in sibling groups, Core XPath predicates and paths compared with a constant through `IrLinear::sat` | `ContextValueTable` | auto, every fragment above Core XPath |
+//! | `IrEvaluator` (memoized) | context-value-table dynamic program (Proposition 2.7, Theorem 7.2); position-free steps set-at-a-time, positional one-hop steps (`//t[k]` included) set-at-a-time in sibling groups, Core XPath predicates and paths compared with a constant through `IrLinear::sat`, the other position-free predicates over the candidates' strings and relative paths by column, once for all candidates | `ContextValueTable` | auto, every fragment above Core XPath |
 //! | `IrEvaluator` (eager) | per-occurrence re-evaluation with list semantics (Section 1) | `Naive` | pin only |
 //! | `IrLinear` | set-at-a-time O(&#124;D&#124;·&#124;Q&#124;) Core XPath (Proposition 2.7) | `CoreXPathLinear` | auto, Core XPath and below |
 //! | `IrSingletonSuccess` | the Lemma 5.4 / Table 1 NAuxPDA, simulated deterministically — the decision procedure behind `CompiledQuery::decide` | `SingletonSuccess` | pin only |
@@ -45,6 +45,8 @@ use xpeval_dom::{Axis, AxisSource, Document, NodeId, NodeKind, NodeTest, Positio
 use xpeval_obs::OpTrace;
 use xpeval_syntax::ast::ExprType;
 use xpeval_syntax::RelOp;
+
+mod column;
 
 /// Per-evaluation environment threaded through the IR machines: the
 /// registered functions visible to `Call` opcodes whose name is not a
@@ -184,8 +186,9 @@ pub(crate) fn execute_ir<S: AxisSource + ?Sized>(
 ///   per context node.  Whatever the route, a predicate is answered by its
 ///   [`PredRoute`]: per candidate, by membership in a `sat` set computed
 ///   once (when the candidates are enough of the document to pay for it),
-///   in place on the candidate's own strings, or as a pick read off the
-///   positions.
+///   in place on the candidate's own strings, as a pick read off the
+///   positions, or by column — one evaluation for all candidates, a column
+///   of values per subexpression, no table entry (`column.rs`).
 /// * **eager** — the naive baseline: every occurrence re-evaluates, paths
 ///   use list semantics with the max-intermediate-list watermark, `and`/`or`
 ///   evaluate both sides, and every step and predicate goes per context
@@ -520,6 +523,9 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrEvaluator<'d, 'q, S> {
             // The one-hop axes enumerate what they select and little else:
             // about what an image costs from every `item` of a document, and
             // a tenth of it from a few contexts (`/site/regions/*/item[2]/bid`).
+            // All images go into one vector.  From contexts in document
+            // order, `attribute` and `self` images come out in order, and so
+            // do `child` images unless contexts nest; `parent` repeats.
             many if matches!(
                 axis,
                 Axis::SelfAxis | Axis::Child | Axis::Parent | Axis::Attribute
@@ -528,9 +534,16 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrEvaluator<'d, 'q, S> {
                 self.stats.step_context_evaluations += many.len() as u64;
                 let mut selected = Vec::new();
                 for &node in many {
-                    selected.append(&mut self.src.axis_step(node, axis, test));
+                    self.src.axis_step_into(node, axis, test, &mut selected);
                 }
-                self.doc.sort_document_order(&mut selected);
+                let ordered = match axis {
+                    Axis::Attribute | Axis::SelfAxis => true,
+                    Axis::Child => is_in_document_order(self.doc, &selected),
+                    _ => false,
+                };
+                if !ordered {
+                    self.doc.sort_document_order(&mut selected);
+                }
                 selected
             }
             // The transitive axes overlap between contexts — per-node
@@ -555,16 +568,25 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrEvaluator<'d, 'q, S> {
         let doc = self.doc;
         match route {
             PredRoute::Sat if self.memoized && self.sat_pays(pred, candidates.len()) => {
-                let holds = self.sat_set(pred)?;
-                candidates.retain(|&node| holds.contains(node));
+                let check = self.node_check(pred, route)?;
+                candidates.retain(|&node| check.holds(node));
             }
-            PredRoute::InPlace(test) if self.memoized => {
-                self.wholesale(pred, &mut candidates, |candidates| {
-                    candidates.retain(|&node| holds_in_place(doc, test, node));
-                });
+            PredRoute::InPlace(_) if self.memoized => {
+                self.wholesale(pred, &mut candidates, |this, candidates| {
+                    let check = this.node_check(pred, route)?;
+                    candidates.retain(|&node| check.holds(node));
+                    Ok(())
+                })?;
+            }
+            PredRoute::Column if self.memoized => {
+                self.wholesale(pred, &mut candidates, |this, candidates| {
+                    let mut holds = this.column(pred, candidates)?.booleans().into_iter();
+                    candidates.retain(|_| holds.next() == Some(true));
+                    Ok(())
+                })?;
             }
             PredRoute::Pick(pick) if self.memoized => {
-                self.wholesale(pred, &mut candidates, |candidates| {
+                self.wholesale(pred, &mut candidates, |_, candidates| {
                     let picked = proximity
                         .lists(doc, candidates)
                         .filter_map(|(list, reverse)| {
@@ -582,7 +604,8 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrEvaluator<'d, 'q, S> {
                         })
                         .collect();
                     *candidates = picked;
-                });
+                    Ok(())
+                })?;
             }
             // Eager mode re-evaluates per occurrence by definition.
             _ => {
@@ -604,21 +627,22 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrEvaluator<'d, 'q, S> {
     }
 
     /// Runs `answer`, a predicate answered for all candidates at once
-    /// without evaluating its opcode, as one evaluation of that opcode.
+    /// without a table entry, as one evaluation of that opcode.
     fn wholesale(
         &mut self,
         pred: OpId,
         candidates: &mut Vec<NodeId>,
-        answer: impl FnOnce(&mut Vec<NodeId>),
-    ) {
+        answer: impl FnOnce(&mut Self, &mut Vec<NodeId>) -> Result<(), EvalError>,
+    ) -> Result<(), EvalError> {
         let start = self.env.trace.map(|_| Instant::now());
         let before = candidates.len() as u64;
         self.stats.evaluations += 1;
-        answer(candidates);
+        answer(self, candidates)?;
         if let (Some(trace), Some(start)) = (self.env.trace, start) {
             let nanos = start.elapsed().as_nanos() as u64;
             trace.record(pred, before, candidates.len() as u64, nanos);
         }
+        Ok(())
     }
 
     fn sets(&mut self) -> &IrLinear<'d, 'q, S> {
@@ -636,6 +660,21 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrEvaluator<'d, 'q, S> {
         let asked = self.sat_asked.entry(pred).or_insert(0);
         *asked += candidates;
         *asked * SAT_SWEEP_SHARE >= self.doc.len()
+    }
+
+    /// The test that answers a [`PredRoute::Sat`] predicate (once its set
+    /// pays) or a [`PredRoute::InPlace`] one node by node, without a table
+    /// entry.
+    fn node_check<'a>(
+        &'a mut self,
+        pred: OpId,
+        route: &'a PredRoute,
+    ) -> Result<NodeCheck<'a>, EvalError> {
+        Ok(match route {
+            PredRoute::Sat => NodeCheck::Sat(self.sat_set(pred)?),
+            PredRoute::InPlace(test) => NodeCheck::InPlace(self.doc, test),
+            _ => unreachable!("only `sat` and in-place predicates hold node by node"),
+        })
     }
 
     /// The set of nodes at which a [`PredRoute::Sat`] predicate holds.
@@ -687,6 +726,28 @@ impl Proximity {
     }
 }
 
+/// Are `nodes` strictly in document order (so also without repeats)?
+fn is_in_document_order(doc: &Document, nodes: &[NodeId]) -> bool {
+    nodes.windows(2).all(|w| doc.pre(w[0]) < doc.pre(w[1]))
+}
+
+/// A position-free predicate decided at one node without a table entry.
+enum NodeCheck<'a> {
+    /// Membership in the predicate's `sat` set.
+    Sat(&'a NodeBitSet),
+    /// The in-place string test.
+    InPlace(&'a Document, &'a StringTest),
+}
+
+impl NodeCheck<'_> {
+    fn holds(&self, node: NodeId) -> bool {
+        match self {
+            NodeCheck::Sat(holds) => holds.contains(node),
+            NodeCheck::InPlace(doc, test) => holds_in_place(doc, test, node),
+        }
+    }
+}
+
 /// Decides a [`PredRoute::InPlace`] predicate at one candidate, on the
 /// `&str`s the document already holds.
 fn holds_in_place(doc: &Document, test: &StringTest, node: NodeId) -> bool {
@@ -707,7 +768,9 @@ fn holds_in_place(doc: &Document, test: &StringTest, node: NodeId) -> bool {
         },
     });
     match &test.check {
-        StringCheck::Compare(op, atom) => strings.any(|s| compare_string_atom(s, *op, atom)),
+        StringCheck::Compare(op, atom) => {
+            strings.any(|s| compare_string_atom(s, *op, atom.scalar()))
+        }
         StringCheck::StartsWith(prefix) => strings.next().unwrap_or("").starts_with(prefix),
     }
 }
@@ -1010,12 +1073,7 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrLinear<'d, 'q, S> {
     fn compared(&self, set: &NodeBitSet, op: RelOp, atom: &Value) -> NodeBitSet {
         let mut out = NodeBitSet::empty(self.n);
         for node in set.iter_nodes() {
-            let passes = match self.doc.kind(node) {
-                NodeKind::Attribute { value, .. } => compare_string_atom(value, op, atom),
-                NodeKind::Text { text } => compare_string_atom(text, op, atom),
-                _ => compare_string_atom(&self.doc.string_value(node), op, atom),
-            };
-            if passes {
+            if compare_string_atom(&self.doc.string_value_cow(node), op, atom.scalar()) {
                 out.insert(node);
             }
         }

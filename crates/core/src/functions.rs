@@ -7,8 +7,8 @@
 
 use crate::context::Context;
 use crate::error::EvalError;
-use crate::value::Value;
-use xpeval_dom::Document;
+use crate::value::{parse_xpath_number, Value};
+use xpeval_dom::{Document, NodeId};
 
 /// Names of the functions implemented by [`call_function`].
 pub const SUPPORTED_FUNCTIONS: &[&str] = &[
@@ -104,11 +104,7 @@ pub fn call_function(
         "sum" => {
             expect_arity(name, &args, 1)?;
             let nodes = args.into_iter().next().unwrap().into_nodes()?;
-            let total: f64 = nodes
-                .iter()
-                .map(|&n| crate::value::parse_xpath_number(&doc.string_value(n)))
-                .sum();
-            Ok(Value::Number(total))
+            Ok(Value::Number(sum(doc, &nodes)))
         }
         "boolean" => {
             expect_arity(name, &args, 1)?;
@@ -132,36 +128,18 @@ pub fn call_function(
             }
             Ok(Value::Str(out))
         }
-        "contains" => {
+        "contains" | "starts-with" => {
             expect_arity(name, &args, 2)?;
+            let test = string_test(name);
             let hay = args[0].to_xpath_string(doc);
-            let needle = args[1].to_xpath_string(doc);
-            Ok(Value::Boolean(hay.contains(&needle)))
+            Ok(Value::Boolean(test(&hay, &args[1].to_xpath_string(doc))))
         }
-        "starts-with" => {
+        "substring-before" | "substring-after" => {
             expect_arity(name, &args, 2)?;
+            let part = string_part(name);
             let hay = args[0].to_xpath_string(doc);
-            let prefix = args[1].to_xpath_string(doc);
-            Ok(Value::Boolean(hay.starts_with(&prefix)))
-        }
-        "substring-before" => {
-            expect_arity(name, &args, 2)?;
-            let hay = args[0].to_xpath_string(doc);
-            let sep = args[1].to_xpath_string(doc);
             Ok(Value::Str(
-                hay.split_once(&sep)
-                    .map(|(a, _)| a.to_string())
-                    .unwrap_or_default(),
-            ))
-        }
-        "substring-after" => {
-            expect_arity(name, &args, 2)?;
-            let hay = args[0].to_xpath_string(doc);
-            let sep = args[1].to_xpath_string(doc);
-            Ok(Value::Str(
-                hay.split_once(&sep)
-                    .map(|(_, b)| b.to_string())
-                    .unwrap_or_default(),
+                part(&hay, &args[1].to_xpath_string(doc)).to_string(),
             ))
         }
         "substring" => {
@@ -169,34 +147,25 @@ pub fn call_function(
                 return Err(arity_error(name, "2 or 3", args.len()));
             }
             let s = args[0].to_xpath_string(doc);
-            let chars: Vec<char> = s.chars().collect();
             let start = args[1].to_number(doc);
             let len = args.get(2).map(|v| v.to_number(doc));
-            Ok(Value::Str(xpath_substring(&chars, start, len)))
+            Ok(Value::Str(substring(&s, start, len).to_string()))
         }
         "string-length" => {
             let v = optional_arg(name, args, ctx, doc)?;
-            Ok(Value::Number(v.to_xpath_string(doc).chars().count() as f64))
+            Ok(Value::Number(string_length(&v.to_xpath_string(doc))))
         }
         "normalize-space" => {
             let v = optional_arg(name, args, ctx, doc)?;
-            let s = v.to_xpath_string(doc);
-            Ok(Value::Str(
-                s.split_whitespace().collect::<Vec<_>>().join(" "),
-            ))
+            let mut out = String::new();
+            normalize_space(&v.to_xpath_string(doc), &mut out);
+            Ok(Value::Str(out))
         }
         "translate" => {
             expect_arity(name, &args, 3)?;
-            let s = args[0].to_xpath_string(doc);
-            let from: Vec<char> = args[1].to_xpath_string(doc).chars().collect();
-            let to: Vec<char> = args[2].to_xpath_string(doc).chars().collect();
-            let out: String = s
-                .chars()
-                .filter_map(|c| match from.iter().position(|&f| f == c) {
-                    Some(i) => to.get(i).copied(),
-                    None => Some(c),
-                })
-                .collect();
+            let [s, from, to] = [0, 1, 2].map(|i| args[i].to_xpath_string(doc));
+            let mut out = String::new();
+            translate(&s, &from, &to, &mut out);
             Ok(Value::Str(out))
         }
         "name" | "local-name" => {
@@ -212,24 +181,111 @@ pub fn call_function(
                 .unwrap_or_default();
             Ok(Value::Str(s))
         }
-        "floor" => {
+        "floor" | "ceiling" | "round" => {
             expect_arity(name, &args, 1)?;
-            Ok(Value::Number(args[0].to_number(doc).floor()))
-        }
-        "ceiling" => {
-            expect_arity(name, &args, 1)?;
-            Ok(Value::Number(args[0].to_number(doc).ceil()))
-        }
-        "round" => {
-            expect_arity(name, &args, 1)?;
-            let n = args[0].to_number(doc);
-            // XPath round(): round half up (towards +infinity).
-            Ok(Value::Number((n + 0.5).floor()))
+            let f = number_function(name);
+            Ok(Value::Number(f(args[0].to_number(doc))))
         }
         _ => Err(EvalError::UnknownFunction {
             name: name.to_string(),
         }),
     }
+}
+
+// The bodies of the string and number functions, over `&str` and `f64`:
+// `call_function` applies them to the values of its arguments, the table
+// machine's column route to whole columns of borrowed strings.
+
+/// `sum(nodes)`: the total of the nodes' string values read as numbers.
+pub(crate) fn sum(doc: &Document, nodes: &[NodeId]) -> f64 {
+    nodes
+        .iter()
+        .map(|&n| parse_xpath_number(&doc.string_value_cow(n)))
+        .sum()
+}
+
+/// `contains` and `starts-with`, by name.
+pub(crate) fn string_test(name: &str) -> fn(&str, &str) -> bool {
+    match name {
+        "contains" => |hay, needle| hay.contains(needle),
+        "starts-with" => |hay, prefix| hay.starts_with(prefix),
+        other => unreachable!("{other} is not a string test"),
+    }
+}
+
+/// `substring-before` and `substring-after`, by name: the part of the
+/// first string before (after) the first occurrence of the second, empty
+/// when there is none.
+pub(crate) fn string_part(name: &str) -> for<'s> fn(&'s str, &str) -> &'s str {
+    match name {
+        "substring-before" => |hay, sep| hay.split_once(sep).map_or("", |(before, _)| before),
+        "substring-after" => |hay, sep| hay.split_once(sep).map_or("", |(_, after)| after),
+        other => unreachable!("{other} is not a string part"),
+    }
+}
+
+/// `floor`, `ceiling` and `round`, by name.  XPath's `round` rounds half
+/// up, towards +infinity.
+pub(crate) fn number_function(name: &str) -> fn(f64) -> f64 {
+    match name {
+        "floor" => f64::floor,
+        "ceiling" => f64::ceil,
+        "round" => round,
+        other => unreachable!("{other} is not a number function"),
+    }
+}
+
+fn round(n: f64) -> f64 {
+    (n + 0.5).floor()
+}
+
+/// `string-length(s)`, in characters.
+pub(crate) fn string_length(s: &str) -> f64 {
+    s.chars().count() as f64
+}
+
+/// `normalize-space(s)`, appended to `out`: runs of whitespace become one
+/// space, leading and trailing whitespace goes.
+pub(crate) fn normalize_space(s: &str, out: &mut String) {
+    for (i, word) in s.split_whitespace().enumerate() {
+        if i > 0 {
+            out.push(' ');
+        }
+        out.push_str(word);
+    }
+}
+
+/// `translate(s, from, to)`, appended to `out`: each character of `s`
+/// found in `from` is replaced by the character at the same position in
+/// `to`, or dropped when `to` is shorter.
+pub(crate) fn translate(s: &str, from: &str, to: &str, out: &mut String) {
+    for c in s.chars() {
+        match from.chars().position(|f| f == c) {
+            Some(i) => out.extend(to.chars().nth(i)),
+            None => out.push(c),
+        }
+    }
+}
+
+/// `substring(s, start, len)` with XPath's rounding-based index rules
+/// (§4.2), which give the famous `substring("12345", 1.5, 2.6) = "234"`
+/// behaviour: the characters at 1-based positions `p` with
+/// `round(start) <= p < round(start) + round(len)`.
+pub(crate) fn substring(s: &str, start: f64, len: Option<f64>) -> &str {
+    let start = round(start);
+    let end = len.map_or(f64::INFINITY, |l| start + round(l));
+    // NaN bounds (`substring(s, 0 div 0)`, `-1 div 0` plus `1 div 0`)
+    // select nothing, and so does every comparison with them.
+    let mut range: Option<(usize, usize)> = None;
+    for (i, (byte, c)) in s.char_indices().enumerate() {
+        let position = (i + 1) as f64;
+        if position >= start && position < end {
+            range.get_or_insert((byte, byte)).1 = byte + c.len_utf8();
+        } else if range.is_some() {
+            break;
+        }
+    }
+    range.map_or("", |(from, to)| &s[from..to])
 }
 
 fn expect_arity(name: &str, args: &[Value], n: usize) -> Result<(), EvalError> {
@@ -253,35 +309,6 @@ fn optional_arg(
         1 => Ok(args.into_iter().next().unwrap()),
         n => Err(arity_error(name, "0 or 1", n)),
     }
-}
-
-/// `substring()` with XPath's rounding-based index rules (§4.2), which give
-/// the famous `substring("12345", 1.5, 2.6) = "234"` behaviour.
-fn xpath_substring(chars: &[char], start: f64, len: Option<f64>) -> String {
-    let round = |x: f64| (x + 0.5).floor();
-    let start_r = round(start);
-    if start_r.is_nan() {
-        return String::new();
-    }
-    let end = match len {
-        Some(l) => {
-            let e = start_r + round(l);
-            if e.is_nan() {
-                return String::new();
-            }
-            e
-        }
-        None => f64::INFINITY,
-    };
-    chars
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| {
-            let pos = (*i + 1) as f64;
-            pos >= start_r && pos < end
-        })
-        .map(|(_, c)| *c)
-        .collect()
 }
 
 #[cfg(test)]

@@ -17,8 +17,9 @@
 //! * per-step metadata is precomputed: the route the table machine takes
 //!   through the step ([`StepRoute`]: per context node, set-at-a-time, in
 //!   sibling groups, or folded into the next step) and through each of its
-//!   predicates ([`PredRoute`], positional picks
-//!   [`xpeval_dom::PositionalPick`] among them), and the `//`-expansion
+//!   predicates ([`PredRoute`]: per candidate, a `sat` set, in place, by
+//!   column, or a positional pick [`xpeval_dom::PositionalPick`]), and the
+//!   `//`-expansion
 //!   fusion (`descendant-or-self::node()/child::t[p]` → `descendant::t[p]`,
 //!   applied only when no predicate reads a proximity position, where it is
 //!   list- and set-semantics preserving);
@@ -113,6 +114,17 @@ pub enum PredRoute {
     /// A unary test on the candidate's own attribute or text strings,
     /// compared in place — no node-set value, no string copy, no table entry.
     InPlace(StringTest),
+    /// A position-free predicate over the candidate's own strings and
+    /// relative paths that the other routes do not answer: `count(bid) > 2`,
+    /// `sum(b/@x) != 1`, `contains(name, 'x')`, `string-length(.) > 3`,
+    /// `[@x]`.  It is evaluated once for the whole candidate slice, one
+    /// column of values per subexpression, bottom-up (after Gottlob, Koch
+    /// and Pichler's VLDB'02 algorithm): a path is one flat vector of every
+    /// candidate's image, strings are borrowed from the document where it
+    /// holds them.  No table entry, and a number of allocations that does
+    /// not grow with the number of candidates.  The grammar is
+    /// `column_predicate`'s, in this module.
+    Column,
 }
 
 /// A predicate that only reads strings the candidate carries itself:
@@ -443,8 +455,8 @@ impl PlanIr {
     /// Steps are listed in evaluation order from the root opcode; the paths
     /// inside a predicate evaluated per candidate follow their step,
     /// indented.  Predicates answered wholesale (`by sat`, `in place`,
-    /// `pick`) are not descended into — the table machine never walks their
-    /// steps.
+    /// `pick`, `by column`) are not descended into — the table machine
+    /// walks their steps its own way, not as steps of the plan.
     pub fn explain(&self) -> String {
         let mut out = String::new();
         self.explain_op(self.root, 1, &mut out);
@@ -476,6 +488,9 @@ impl PlanIr {
                             PredRoute::InPlace(test) => write!(out, ", filter {test} in place"),
                             PredRoute::Sat => {
                                 write!(out, ", filter {} by sat", self.display_op(pred))
+                            }
+                            PredRoute::Column => {
+                                write!(out, ", filter {} by column", self.display_op(pred))
                             }
                             PredRoute::PerCandidate => {
                                 write!(out, ", filter {} per candidate", self.display_op(pred))
@@ -519,7 +534,8 @@ impl PlanIr {
 
     /// The route column of the profile table, one label per opcode in plan
     /// order: the step routes of a path (`folded,siblings,set`), `sat` / `in
-    /// place` / `pick` for a predicate answered wholesale, `-` otherwise.
+    /// place` / `pick` / `column` for a predicate answered wholesale, `-`
+    /// otherwise.
     pub fn route_labels(&self) -> Vec<Cow<'static, str>> {
         let mut labels: Vec<Cow<'static, str>> = self
             .ops
@@ -541,6 +557,7 @@ impl PlanIr {
                 PredRoute::Sat => "sat",
                 PredRoute::InPlace(_) => "in place",
                 PredRoute::Pick(_) => "pick",
+                PredRoute::Column => "column",
                 PredRoute::PerCandidate => continue,
             });
         }
@@ -829,9 +846,90 @@ fn pred_route(pred: &Expr) -> PredRoute {
         PredRoute::InPlace(test)
     } else if is_core_condition(pred) || compares_core_path(pred) {
         PredRoute::Sat
+    } else if column_predicate(pred) {
+        PredRoute::Column
     } else {
         PredRoute::PerCandidate
     }
+}
+
+/// The grammar of [`PredRoute::Column`], for a position-free predicate:
+///
+/// * leaves: number and string literals; a relative path whose steps are all
+///   position-free ([`StepRoute::Set`]) and whose own predicates, if any,
+///   are answered [`PredRoute::Sat`] or [`PredRoute::InPlace`] (`.` is such
+///   a path); `string()`, `string-length()`, `normalize-space()` and
+///   `number()`, which read the candidate itself;
+/// * over such a path: `count`, `sum`, and any use as a boolean, a string
+///   or a number (the first node in document order);
+/// * the built-ins `contains`, `starts-with`, `string-length`,
+///   `normalize-space`, `translate`, `substring`, `substring-before`,
+///   `substring-after`, `concat`, `boolean`, `string`, `number`, `true`,
+///   `false`, `floor`, `ceiling` and `round`, at their arities;
+/// * `and`, `or`, `not`, arithmetic, unary minus, and the comparisons with
+///   at most one node-set operand (XPath 1.0 §3.4: existential over its
+///   nodes, or `boolean(π)` against a boolean).
+///
+/// Everything else is per candidate: what reads `position()`/`last()`, a
+/// variable, a registered function, an absolute path, a node-set join, a
+/// set operator, a pick inside a path.
+fn column_predicate(expr: &Expr) -> bool {
+    match expr {
+        Expr::Number(_) | Expr::Literal(_) => true,
+        Expr::Path(path) => column_path(path),
+        Expr::And(a, b)
+        | Expr::Or(a, b)
+        | Expr::Arithmetic {
+            left: a, right: b, ..
+        } => column_predicate(a) && column_predicate(b),
+        Expr::Not(e) | Expr::Neg(e) => column_predicate(e),
+        Expr::Relational { left, right, .. } => {
+            column_predicate(left)
+                && column_predicate(right)
+                && !(left.as_path().is_some() && right.as_path().is_some())
+        }
+        Expr::FunctionCall { name, args } => {
+            let path = |e: &Expr| e.as_path().is_some_and(column_path);
+            match (name.as_str(), args.as_slice()) {
+                ("count" | "sum", [arg]) => path(arg),
+                (
+                    "true" | "false" | "string" | "number" | "string-length" | "normalize-space",
+                    [],
+                ) => true,
+                (
+                    "boolean" | "string" | "number" | "string-length" | "normalize-space" | "floor"
+                    | "ceiling" | "round",
+                    [_],
+                )
+                | (
+                    "contains" | "starts-with" | "substring-before" | "substring-after"
+                    | "substring",
+                    [_, _],
+                )
+                | ("substring" | "translate", [_, _, _])
+                | ("concat", [_, _, ..]) => args.iter().all(column_predicate),
+                _ => false,
+            }
+        }
+        Expr::Variable(_)
+        | Expr::Union(_, _)
+        | Expr::Intersect(_, _)
+        | Expr::Except(_, _)
+        | Expr::NodeCompare { .. } => false,
+    }
+}
+
+/// A leaf path of [`column_predicate`]: relative, every step taken for the
+/// whole context set at once, every step predicate answered wholesale.
+fn column_path(path: &LocationPath) -> bool {
+    !path.absolute
+        && path.steps.iter().all(|step| {
+            // Both routes are taken by position-free predicates only, so
+            // the step is `Set`.
+            step.predicates
+                .iter()
+                .all(|pred| matches!(pred_route(pred), PredRoute::Sat | PredRoute::InPlace(_)))
+        })
 }
 
 /// `π op c` or `c op π`: a path with Core XPath conditions (on any axis,
@@ -1293,17 +1391,16 @@ mod tests {
             pred_routes("/r/a[b intersect c]"),
             [PredRoute::PerCandidate]
         );
-        assert_eq!(pred_routes("/r/a[count(b) > 1]"), [PredRoute::PerCandidate]);
+        // Functions of the candidate's strings and relative paths go by
+        // column.
+        assert_eq!(pred_routes("/r/a[count(b) > 1]"), [PredRoute::Column]);
         // A path compared with a constant is a condition `sat` answers...
         assert_eq!(pred_routes("/r/a[b/@x = 'v']"), [PredRoute::Sat]);
         assert_eq!(pred_routes("/r/a[2 < b[c]]"), [PredRoute::Sat]);
         // ...a path compared with anything else, or one that reads
         // positions, is not.
         assert_eq!(pred_routes("/r/a[b/@x = @y]"), [PredRoute::PerCandidate]);
-        assert_eq!(
-            pred_routes("/r/a[b/@x = true()]"),
-            [PredRoute::PerCandidate]
-        );
+        assert_eq!(pred_routes("/r/a[b/@x = true()]"), [PredRoute::Column]);
         assert_eq!(pred_routes("/r/a[b[1] = 'v']"), [PredRoute::PerCandidate]);
         assert_eq!(
             pred_routes("/r/a[(b | c) = 'v']"),
@@ -1353,6 +1450,18 @@ mod tests {
         assert_eq!(
             lower("//item[bid][@id = 'item3']").route_labels(),
             ["sat", "set", "-", "in place", "set"]
+        );
+    }
+
+    #[test]
+    fn column_predicates_are_explained_and_labelled() {
+        assert_eq!(
+            lower("//item[count(bid) > 2]/name").explain(),
+            "  descendant::item  set, filter (count(child::bid) > 2) by column\n  child::name  set\n"
+        );
+        assert_eq!(
+            lower("//a[contains(b, 'x')]").route_labels(),
+            ["set", "-", "column", "set"]
         );
     }
 

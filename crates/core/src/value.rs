@@ -42,25 +42,18 @@ impl Value {
     pub fn to_boolean(&self) -> bool {
         match self {
             Value::NodeSet(ns) => !ns.is_empty(),
-            Value::Boolean(b) => *b,
-            Value::Number(n) => *n != 0.0 && !n.is_nan(),
-            Value::Str(s) => !s.is_empty(),
+            scalar => scalar.scalar().to_boolean(),
         }
     }
 
     /// Number conversion (XPath 1.0 §4.4 `number()`).
     pub fn to_number(&self, doc: &Document) -> f64 {
         match self {
-            Value::Number(n) => *n,
-            Value::Boolean(b) => {
-                if *b {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            Value::Str(s) => parse_xpath_number(s),
-            Value::NodeSet(_) => parse_xpath_number(&self.to_xpath_string(doc)),
+            Value::NodeSet(ns) => match ns.first() {
+                Some(&n) => parse_xpath_number(&doc.string_value_cow(n)),
+                None => f64::NAN,
+            },
+            scalar => scalar.scalar().to_number(),
         }
     }
 
@@ -68,12 +61,23 @@ impl Value {
     pub fn to_xpath_string(&self, doc: &Document) -> String {
         match self {
             Value::Str(s) => s.clone(),
-            Value::Boolean(b) => if *b { "true" } else { "false" }.to_string(),
+            Value::Boolean(b) => boolean_to_str(*b).to_string(),
             Value::Number(n) => number_to_string(*n),
             Value::NodeSet(ns) => match ns.first() {
-                Some(&n) => doc.string_value(n),
+                Some(&n) => doc.string_value_cow(n).into_owned(),
                 None => String::new(),
             },
+        }
+    }
+
+    /// The value as a comparison operand; node sets are compared by the
+    /// caller, node by node.
+    pub(crate) fn scalar(&self) -> Scalar<'_> {
+        match self {
+            Value::Boolean(b) => Scalar::Boolean(*b),
+            Value::Number(n) => Scalar::Number(*n),
+            Value::Str(s) => Scalar::Str(s),
+            Value::NodeSet(_) => unreachable!("a node set is not a scalar"),
         }
     }
 
@@ -114,47 +118,82 @@ impl Value {
         match (self, other) {
             (NodeSet(a), NodeSet(b)) => match op {
                 RelOp::Eq | RelOp::Ne => a.iter().any(|&x| {
-                    let sx = doc.string_value(x);
-                    b.iter().any(|&y| op.apply_str(&sx, &doc.string_value(y)))
+                    let sx = doc.string_value_cow(x);
+                    b.iter()
+                        .any(|&y| op.apply_str(&sx, &doc.string_value_cow(y)))
                 }),
                 _ => a.iter().any(|&x| {
-                    let nx = parse_xpath_number(&doc.string_value(x));
+                    let nx = parse_xpath_number(&doc.string_value_cow(x));
                     b.iter()
-                        .any(|&y| op.apply(nx, parse_xpath_number(&doc.string_value(y))))
+                        .any(|&y| op.apply(nx, parse_xpath_number(&doc.string_value_cow(y))))
                 }),
             },
-            (NodeSet(a), rhs) => compare_nodeset_scalar(a, op, rhs, doc, false),
-            (lhs, NodeSet(b)) => compare_nodeset_scalar(b, op, lhs, doc, true),
-            (lhs, rhs) => match op {
-                RelOp::Eq | RelOp::Ne => {
-                    if matches!(lhs, Boolean(_)) || matches!(rhs, Boolean(_)) {
-                        op.apply_bool(lhs.to_boolean(), rhs.to_boolean())
-                    } else if matches!(lhs, Number(_)) || matches!(rhs, Number(_)) {
-                        op.apply(lhs.to_number(doc), rhs.to_number(doc))
-                    } else {
-                        op.apply_str(&lhs.to_xpath_string(doc), &rhs.to_xpath_string(doc))
-                    }
-                }
-                _ => op.apply(lhs.to_number(doc), rhs.to_number(doc)),
-            },
+            (NodeSet(a), rhs) => compare_nodes_scalar(doc, a, op, rhs.scalar()),
+            (lhs, NodeSet(b)) => compare_nodes_scalar(doc, b, flip(op), lhs.scalar()),
+            (lhs, rhs) => compare_scalars(lhs.scalar(), op, rhs.scalar()),
         }
     }
 }
 
-fn compare_nodeset_scalar(
+/// A borrowed boolean, number or string: one side of a comparison that is
+/// not a node set, or one atom of a column of them.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum Scalar<'a> {
+    Boolean(bool),
+    Number(f64),
+    Str(&'a str),
+}
+
+impl Scalar<'_> {
+    /// Number conversion (XPath 1.0 §4.4).
+    pub(crate) fn to_number(self) -> f64 {
+        match self {
+            Scalar::Boolean(b) => f64::from(u8::from(b)),
+            Scalar::Number(n) => n,
+            Scalar::Str(s) => parse_xpath_number(s),
+        }
+    }
+
+    /// Boolean conversion (XPath 1.0 §4.3).
+    pub(crate) fn to_boolean(self) -> bool {
+        match self {
+            Scalar::Boolean(b) => b,
+            Scalar::Number(n) => n != 0.0 && !n.is_nan(),
+            Scalar::Str(s) => !s.is_empty(),
+        }
+    }
+}
+
+/// `lhs op rhs` for two operands neither of which is a node set (XPath 1.0
+/// §3.4): `=` and `!=` compare as booleans if either side is one, else as
+/// numbers if either side is one, else as strings; the order operators
+/// always compare numbers.
+pub(crate) fn compare_scalars(lhs: Scalar<'_>, op: RelOp, rhs: Scalar<'_>) -> bool {
+    use Scalar::*;
+    match (op, lhs, rhs) {
+        (RelOp::Eq | RelOp::Ne, Boolean(_), _) | (RelOp::Eq | RelOp::Ne, _, Boolean(_)) => {
+            op.apply_bool(lhs.to_boolean(), rhs.to_boolean())
+        }
+        (RelOp::Eq | RelOp::Ne, Str(a), Str(b)) => op.apply_str(a, b),
+        _ => op.apply(lhs.to_number(), rhs.to_number()),
+    }
+}
+
+/// `nodes op scalar`, the node set on the left (XPath 1.0 §3.4): against a
+/// boolean the node set counts as `boolean(nodes)`; against a number or a
+/// string the comparison holds if it holds for the string value of some
+/// node, read where the document keeps it.
+pub(crate) fn compare_nodes_scalar(
+    doc: &Document,
     nodes: &[NodeId],
     op: RelOp,
-    scalar: &Value,
-    doc: &Document,
-    flipped: bool,
+    scalar: Scalar<'_>,
 ) -> bool {
-    let op = if flipped { flip(op) } else { op };
     match scalar {
-        Value::Boolean(b) => op.apply_bool(!nodes.is_empty(), *b),
-        Value::NodeSet(_) => unreachable!("handled by caller"),
+        Scalar::Boolean(b) => op.apply_bool(!nodes.is_empty(), b),
         atom => nodes
             .iter()
-            .any(|&x| compare_string_atom(&doc.string_value(x), op, atom)),
+            .any(|&x| compare_string_atom(&doc.string_value_cow(x), op, atom)),
     }
 }
 
@@ -162,11 +201,11 @@ fn compare_nodeset_scalar(
 /// operand: numbers compare numerically (the string is read as a number,
 /// NaN when it is not one), strings by (in)equality or, under an order
 /// operator, numerically too (XPath 1.0 §3.4).
-pub(crate) fn compare_string_atom(string: &str, op: RelOp, atom: &Value) -> bool {
+pub(crate) fn compare_string_atom(string: &str, op: RelOp, atom: Scalar<'_>) -> bool {
     match atom {
-        Value::Number(n) => op.apply(parse_xpath_number(string), *n),
-        Value::Str(s) => op.apply_str(string, s),
-        Value::Boolean(_) | Value::NodeSet(_) => {
+        Scalar::Number(n) => op.apply(parse_xpath_number(string), n),
+        Scalar::Str(s) => op.apply_str(string, s),
+        Scalar::Boolean(_) => {
             unreachable!("node strings are compared with numbers and strings only")
         }
     }
@@ -236,16 +275,33 @@ pub fn parse_xpath_number(s: &str) -> f64 {
 /// print without a decimal point, NaN prints as `NaN`, infinities as
 /// `Infinity`/`-Infinity`.
 pub fn number_to_string(n: f64) -> String {
+    let mut out = String::new();
+    push_number(n, &mut out);
+    out
+}
+
+/// Appends [`number_to_string`]'s rendering of `n` to `out`.
+pub(crate) fn push_number(n: f64, out: &mut String) {
+    use std::fmt::Write;
     if n.is_nan() {
-        "NaN".to_string()
+        out.push_str("NaN");
     } else if n.is_infinite() {
-        if n > 0.0 { "Infinity" } else { "-Infinity" }.to_string()
+        out.push_str(if n > 0.0 { "Infinity" } else { "-Infinity" });
     } else if n == 0.0 {
-        "0".to_string()
+        out.push('0');
     } else if n.fract() == 0.0 && n.abs() < 1e15 {
-        format!("{}", n as i64)
+        let _ = write!(out, "{}", n as i64);
     } else {
-        format!("{n}")
+        let _ = write!(out, "{n}");
+    }
+}
+
+/// The string form of a boolean (XPath 1.0 §4.2).
+pub(crate) fn boolean_to_str(b: bool) -> &'static str {
+    if b {
+        "true"
+    } else {
+        "false"
     }
 }
 

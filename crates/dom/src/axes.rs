@@ -226,9 +226,7 @@ impl Document {
     /// Nodes reachable from `n` via `axis` that match `test`, in document
     /// order.
     pub fn axis_step(&self, n: NodeId, axis: Axis, test: &NodeTest) -> Vec<NodeId> {
-        self.axis_iter(n, axis)
-            .filter(|&m| self.matches_on_axis(m, test, axis))
-            .collect()
+        crate::AxisSource::axis_step(self, n, axis, test)
     }
 
     /// True if `anc` is an ancestor of `desc` (strict).
@@ -253,10 +251,10 @@ impl Document {
 /// State machine iterator over a single axis.
 pub struct AxisIter<'d> {
     doc: &'d Document,
-    state: IterState,
+    state: IterState<'d>,
 }
 
-enum IterState {
+enum IterState<'d> {
     Done,
     /// Yield this single node, then stop.
     Single(NodeId),
@@ -264,6 +262,8 @@ enum IterState {
     /// Collected eagerly because ancestors must be produced in document
     /// order (root first).
     Seq(std::vec::IntoIter<NodeId>),
+    /// The owner's attribute list, walked where the document keeps it.
+    Attributes(std::slice::Iter<'d, NodeId>),
     /// Children: current candidate.
     Sibling(Option<NodeId>),
     /// Descendant traversal bounded by `stop` (exclusive subtree walk).
@@ -287,7 +287,7 @@ impl<'d> AxisIter<'d> {
             },
             Axis::Child => IterState::Sibling(doc.first_child(n)),
             Axis::FollowingSibling => IterState::Sibling(doc.next_sibling(n)),
-            Axis::Attribute => IterState::Seq(doc.attributes(n).to_vec().into_iter()),
+            Axis::Attribute => IterState::Attributes(doc.attributes(n).iter()),
             Axis::Descendant => IterState::Descend {
                 next: first_in_subtree_excluding_root(doc, n),
                 stop: n,
@@ -406,6 +406,7 @@ impl<'d> Iterator for AxisIter<'d> {
                 Some(n)
             }
             IterState::Seq(it) => it.next(),
+            IterState::Attributes(it) => it.next().copied(),
             IterState::Sibling(cur) => {
                 let n = (*cur)?;
                 *cur = self.doc.next_sibling(n);

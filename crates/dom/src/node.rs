@@ -5,6 +5,7 @@
 //! explicit links so that every axis of the XPath data model can be walked
 //! without allocation.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -459,13 +460,29 @@ impl Document {
     /// concatenation of all descendant text for root/element nodes, the text
     /// itself for text nodes and the attribute value for attribute nodes.
     pub fn string_value(&self, id: NodeId) -> String {
+        self.string_value_cow(id).into_owned()
+    }
+
+    /// [`Document::string_value`], borrowed wherever the document holds it
+    /// as one string: attribute and text nodes, and element or root nodes
+    /// with no child or a single text child.  Anything else is concatenated
+    /// into an owned string.
+    pub fn string_value_cow(&self, id: NodeId) -> Cow<'_, str> {
         match self.kind(id) {
-            NodeKind::Text { text } => text.to_string(),
-            NodeKind::Attribute { value, .. } => value.to_string(),
+            NodeKind::Text { text } => Cow::Borrowed(&**text),
+            NodeKind::Attribute { value, .. } => Cow::Borrowed(&**value),
             NodeKind::Root | NodeKind::Element { .. } => {
+                let Some(first) = self.first_child(id) else {
+                    return Cow::Borrowed("");
+                };
+                if let (NodeKind::Text { text }, None) =
+                    (self.kind(first), self.next_sibling(first))
+                {
+                    return Cow::Borrowed(&**text);
+                }
                 let mut out = String::new();
                 self.collect_text(id, &mut out);
-                out
+                Cow::Owned(out)
             }
         }
     }
@@ -600,6 +617,26 @@ mod tests {
         let c = doc.last_child(a).unwrap();
         let attr = doc.attributes(c)[0];
         assert_eq!(doc.string_value(attr), "v");
+    }
+
+    #[test]
+    fn string_values_are_borrowed_where_the_document_holds_one_string() {
+        let doc = sample();
+        let a = doc.first_child(doc.root()).unwrap();
+        let b = doc.first_child(a).unwrap();
+        let c = doc.last_child(a).unwrap();
+        let t = doc.first_child(b).unwrap();
+        let attr = doc.attributes(c)[0];
+        for (node, borrowed) in [(t, true), (attr, true), (b, true), (a, false)] {
+            let cow = doc.string_value_cow(node);
+            assert_eq!(cow, doc.string_value(node), "{node:?}");
+            assert_eq!(matches!(cow, Cow::Borrowed(_)), borrowed, "{node:?}");
+        }
+        let empty = DocumentBuilder::new().finish();
+        assert!(matches!(
+            empty.string_value_cow(empty.root()),
+            Cow::Borrowed("")
+        ));
     }
 
     #[test]

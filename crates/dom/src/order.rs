@@ -18,8 +18,23 @@ impl Document {
     /// turning an arbitrary node list into a canonical node-set
     /// representation.
     pub fn sort_document_order(&self, nodes: &mut Vec<NodeId>) {
+        let distinct = self.sort_distinct(nodes);
+        nodes.truncate(distinct);
+    }
+
+    /// Sorts the nodes of a slice into document order, each distinct node
+    /// once at the front, and returns how many there are; what follows them
+    /// is unspecified.
+    pub fn sort_distinct(&self, nodes: &mut [NodeId]) -> usize {
         nodes.sort_by_key(|&n| self.pre(n));
-        nodes.dedup();
+        let mut kept = 0;
+        for i in 0..nodes.len() {
+            if kept == 0 || nodes[i] != nodes[kept - 1] {
+                nodes[kept] = nodes[i];
+                kept += 1;
+            }
+        }
+        kept
     }
 
     /// Returns the nodes of `nodes` in document order without modifying the

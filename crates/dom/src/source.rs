@@ -136,10 +136,17 @@ pub trait AxisSource: Sync {
         self.document().len()
     }
 
-    /// Nodes reachable from `n` via `axis` that match `test`, in document
-    /// order — one location step without predicates.
+    /// Appends the nodes reachable from `n` via `axis` that match `test` to
+    /// `out`, in document order — one location step without predicates.
+    /// Appending lets a caller gather the images of many context nodes into
+    /// one vector.
+    fn axis_step_into(&self, n: NodeId, axis: Axis, test: &NodeTest, out: &mut Vec<NodeId>);
+
+    /// [`AxisSource::axis_step_into`] into a fresh vector.
     fn axis_step(&self, n: NodeId, axis: Axis, test: &NodeTest) -> Vec<NodeId> {
-        self.document().axis_step(n, axis, test)
+        let mut out = Vec::new();
+        self.axis_step_into(n, axis, test, &mut out);
+        out
     }
 
     /// Whether at least one node is reachable from `n` via `axis` matching
@@ -210,6 +217,37 @@ impl AxisSource for Document {
     fn document(&self) -> &Document {
         self
     }
+
+    fn axis_step_into(&self, n: NodeId, axis: Axis, test: &NodeTest, out: &mut Vec<NodeId>) {
+        let selects = |m: NodeId| self.matches_on_axis(m, test, axis);
+        // The one-hop axes read their one link or list directly.
+        match axis {
+            Axis::SelfAxis => out.extend(Some(n).filter(|&m| selects(m))),
+            Axis::Parent => out.extend(self.parent(n).filter(|&m| selects(m))),
+            Axis::Attribute => {
+                out.extend(self.attributes(n).iter().copied().filter(|&m| selects(m)))
+            }
+            _ => out.extend(self.axis_iter(n, axis).filter(|&m| selects(m))),
+        }
+    }
+}
+
+impl PreparedDocument {
+    /// The tag a name test asks for, resolved against this document's tag
+    /// table, on an element-principal axis; `Some(None)` when no element
+    /// carries it.  `None` for every other test, and on the attribute axis,
+    /// whose name tests match attribute names, which the tag table does not
+    /// hold.
+    fn element_tag(&self, axis: Axis, test: &NodeTest) -> Option<Option<TagId>> {
+        if axis.principal_is_attribute() {
+            return None;
+        }
+        match test {
+            NodeTest::Name(name) => Some(self.tag_id(name)),
+            NodeTest::Resolved { id, .. } => Some(*id),
+            _ => None,
+        }
+    }
 }
 
 impl AxisSource for PreparedDocument {
@@ -218,7 +256,7 @@ impl AxisSource for PreparedDocument {
         PreparedDocument::document(self)
     }
 
-    fn axis_step(&self, n: NodeId, axis: Axis, test: &NodeTest) -> Vec<NodeId> {
+    fn axis_step_into(&self, n: NodeId, axis: Axis, test: &NodeTest, out: &mut Vec<NodeId>) {
         let doc = self.document();
         // Tag-name tests are the indexed fast paths: descendant axes are a
         // tag-list range, child steps hit the per-parent bucket, and the
@@ -229,46 +267,45 @@ impl AxisSource for PreparedDocument {
         // interned id and skips the hash entirely — `id == None` means the
         // tag was absent at specialization time, so the indexed axes below
         // are empty by construction.
-        let interned: Option<Option<TagId>> = match test {
-            NodeTest::Name(name) => Some(self.tag_id(name)),
-            NodeTest::Resolved { id, .. } => Some(*id),
-            _ => None,
-        };
-        if let Some(id) = interned {
+        if let Some(id) = self.element_tag(axis, test) {
             match axis {
                 Axis::Descendant => {
-                    return id
-                        .map(|id| self.descendants_by_tag(n, id).to_vec())
-                        .unwrap_or_default()
+                    if let Some(id) = id {
+                        out.extend_from_slice(self.descendants_by_tag(n, id));
+                    }
+                    return;
                 }
                 Axis::DescendantOrSelf => {
-                    let below = id.map(|id| self.descendants_by_tag(n, id)).unwrap_or(&[]);
-                    let mut out = Vec::with_capacity(below.len() + 1);
                     if doc.matches_on_axis(n, test, axis) {
                         out.push(n);
                     }
-                    out.extend_from_slice(below);
-                    return out;
+                    if let Some(id) = id {
+                        out.extend_from_slice(self.descendants_by_tag(n, id));
+                    }
+                    return;
                 }
                 // Adaptive: the bucket pays off on wide nodes only; narrow
                 // nodes fall through to the sibling walk below.
                 Axis::Child if self.child_count(n) > CHILD_BUCKET_MIN_CHILDREN => {
-                    return id
-                        .map(|id| self.children_by_tag(n, id).to_vec())
-                        .unwrap_or_default()
+                    if let Some(id) = id {
+                        out.extend_from_slice(self.children_by_tag(n, id));
+                    }
+                    return;
                 }
                 // The interval complement describes following/preceding only
                 // for tree nodes: an attribute's notional subtree sits inside
                 // its owner, so attribute context nodes take the walk.
                 Axis::Following if !doc.kind(n).is_attribute() => {
-                    return id
-                        .map(|id| self.following_by_tag(n, id).to_vec())
-                        .unwrap_or_default()
+                    if let Some(id) = id {
+                        out.extend_from_slice(self.following_by_tag(n, id));
+                    }
+                    return;
                 }
                 Axis::Preceding if !doc.kind(n).is_attribute() => {
-                    return id
-                        .map(|id| self.preceding_by_tag(n, id))
-                        .unwrap_or_default()
+                    if let Some(id) = id {
+                        out.extend(self.preceding_by_tag(n, id));
+                    }
+                    return;
                 }
                 _ => {}
             }
@@ -277,7 +314,7 @@ impl AxisSource for PreparedDocument {
             Axis::Child => {
                 // The child-count table sizes the candidate list exactly, so
                 // the hot child-step path never reallocates.
-                let mut out = Vec::with_capacity(self.child_count(n));
+                out.reserve(self.child_count(n));
                 let mut c = doc.first_child(n);
                 while let Some(ch) = c {
                     if doc.matches_on_axis(ch, test, axis) {
@@ -285,7 +322,6 @@ impl AxisSource for PreparedDocument {
                     }
                     c = doc.next_sibling(ch);
                 }
-                out
             }
             // Non-name tests on the complement axes: one range scan over the
             // precomputed document order on each side of the subtree
@@ -296,28 +332,22 @@ impl AxisSource for PreparedDocument {
                 let (_, end) = self.pre_interval(n);
                 let order = self.order();
                 let lo = order.partition_point(|&m| doc.pre(m) < end);
-                order[lo..]
-                    .iter()
-                    .copied()
-                    .filter(|&m| !doc.kind(m).is_attribute() && doc.matches_on_axis(m, test, axis))
-                    .collect()
+                out.extend(order[lo..].iter().copied().filter(|&m| {
+                    !doc.kind(m).is_attribute() && doc.matches_on_axis(m, test, axis)
+                }));
             }
             Axis::Preceding if !doc.kind(n).is_attribute() => {
                 let (pre, _) = self.pre_interval(n);
                 let order = self.order();
                 let hi = order.partition_point(|&m| doc.pre(m) < pre);
-                order[..hi]
-                    .iter()
-                    .copied()
-                    .filter(|&m| {
-                        let (_, m_end) = self.pre_interval(m);
-                        m_end <= pre
-                            && !doc.kind(m).is_attribute()
-                            && doc.matches_on_axis(m, test, axis)
-                    })
-                    .collect()
+                out.extend(order[..hi].iter().copied().filter(|&m| {
+                    let (_, m_end) = self.pre_interval(m);
+                    m_end <= pre
+                        && !doc.kind(m).is_attribute()
+                        && doc.matches_on_axis(m, test, axis)
+                }));
             }
-            _ => doc.axis_step(n, axis, test),
+            _ => doc.axis_step_into(n, axis, test, out),
         }
     }
 
@@ -327,12 +357,7 @@ impl AxisSource for PreparedDocument {
         // tag lists — no candidate vector is ever built.  The fall-through
         // cases walk the axis lazily instead of collecting it.
         let doc = self.document();
-        let interned: Option<Option<TagId>> = match test {
-            NodeTest::Name(name) => Some(self.tag_id(name)),
-            NodeTest::Resolved { id, .. } => Some(*id),
-            _ => None,
-        };
-        if let Some(id) = interned {
+        if let Some(id) = self.element_tag(axis, test) {
             match axis {
                 Axis::Descendant => {
                     return id.is_some_and(|id| !self.descendants_by_tag(n, id).is_empty())
@@ -501,14 +526,14 @@ impl<S: AxisSource> AxisSource for CapabilityMask<S> {
         self.inner.node_count()
     }
 
-    fn axis_step(&self, n: NodeId, axis: Axis, test: &NodeTest) -> Vec<NodeId> {
+    fn axis_step_into(&self, n: NodeId, axis: Axis, test: &NodeTest, out: &mut Vec<NodeId>) {
         // The inner fast paths lean on the tag index and the subtree
         // intervals; once either is masked away, be honest and walk.
         let caps = self.capabilities();
         if caps.tag_index && caps.intervals && caps.order_table {
-            self.inner.axis_step(n, axis, test)
+            self.inner.axis_step_into(n, axis, test, out)
         } else {
-            self.document().axis_step(n, axis, test)
+            self.document().axis_step_into(n, axis, test, out)
         }
     }
 

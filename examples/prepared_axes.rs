@@ -1,8 +1,8 @@
 //! The index-aware axes of a prepared document: per-parent tag buckets for
 //! `child::tag`, preorder-interval complements for `following`/`preceding`,
 //! and positional child predicates answered from the position tables — plus
-//! the table machine's set-at-a-time routes, which make a pWF/pXPath
-//! predicate cost about what the bare path costs.
+//! the table machine's set-at-a-time and column routes, which make a
+//! pWF/pXPath predicate cost about what the bare path costs.
 //!
 //! ```bash
 //! cargo run --release --example prepared_axes
@@ -50,8 +50,9 @@ fn main() {
     }
 
     // The plan the compiler picks for pWF/pXPath — the five `warm_pwf`
-    // queries, then two positional `//t[k]` steps of `warm_xpath` — each
-    // beside its predicate-free form, median of 31 prepared runs.
+    // queries, two positional `//t[k]` steps of `warm_xpath`, then two
+    // predicates answered by column — each beside its predicate-free form,
+    // median of 31 prepared runs.
     println!();
     let median = |src: &str| {
         let q = CompiledQuery::compile(src).expect("query compiles");
@@ -72,6 +73,8 @@ fn main() {
         ("//item[position() = last()]/name", "//item/name"),
         ("//person[1]/name", "//person/name"),
         ("//item[bid][1]/name", "//item/name"),
+        ("//item[count(bid) > 2]/name", "//item/name"),
+        ("//item[contains(name, 'number 7')]/@id", "//item/name"),
     ] {
         let ((q, with_predicate), (_, without)) = (median(src), median(bare));
         println!("{src}: {with_predicate:?}   ({bare}: {without:?})");

@@ -56,20 +56,34 @@ fn naive_work_is_geometric_and_dp_work_is_linear() {
 
 #[test]
 fn data_complexity_tables_grow_linearly_in_document_size() {
-    // A predicate the table machine tabulates per candidate (a Core XPath
-    // condition would be one `sat` set and no table at all).
-    let query = xpeval::syntax::parse_query("//a[count(descendant::c) > count(child::b)]").unwrap();
-    let mut entries = Vec::new();
-    let sizes = [200usize, 400, 800];
-    for &nodes in &sizes {
-        let doc = random_tree_document(&mut StdRng::seed_from_u64(10), nodes, &["a", "b", "c"]);
-        entries.push(work(&doc, &query, EvalStrategy::ContextValueTable).table_entries);
-    }
-    // Doubling the document should roughly double the number of table
-    // entries; allow generous slack (factor in [1.3, 3]).
-    for w in entries.windows(2) {
-        let ratio = w[1] as f64 / w[0] as f64;
-        assert!(ratio > 1.3 && ratio < 3.0, "table growth {entries:?}");
+    // Per-candidate predicates: the pick inside `child::b[1]` keeps the
+    // second off the column route, so both tabulate every candidate `a`.
+    // The first is answered by column: its table holds no entry per
+    // candidate, and its step work is what grows with the document.
+    let cases = [
+        ("//a[count(descendant::c) > count(child::b)]", false),
+        ("//a[count(descendant::c) > count(child::b[1])]", true),
+    ];
+    for (src, per_candidate) in cases {
+        let query = xpeval::syntax::parse_query(src).unwrap();
+        let mut growth = Vec::new();
+        let sizes = [200usize, 400, 800];
+        for &nodes in &sizes {
+            let doc = random_tree_document(&mut StdRng::seed_from_u64(10), nodes, &["a", "b", "c"]);
+            let stats = work(&doc, &query, EvalStrategy::ContextValueTable);
+            growth.push(if per_candidate {
+                stats.table_entries as u64
+            } else {
+                assert!(stats.table_entries <= 2, "{src}: {stats:?}");
+                stats.step_context_evaluations
+            });
+        }
+        // Doubling the document should roughly double the table (or the
+        // work); allow generous slack (factor in [1.3, 3]).
+        for w in growth.windows(2) {
+            let ratio = w[1] as f64 / w[0] as f64;
+            assert!(ratio > 1.3 && ratio < 3.0, "{src}: growth {growth:?}");
+        }
     }
 }
 
@@ -221,6 +235,33 @@ fn auto_plan_pinned_machines_and_reference_agree_on_the_pwf_queries() {
                 expected,
                 "{query} via {strategy:?}"
             );
+        }
+    }
+}
+
+/// Predicates over the candidates' own strings and relative paths, and an
+/// aggregate over a path: by the column route, and by one pass over a path.
+const COLUMN_QUERIES: [&str; 4] = [
+    "//item[count(bid) > 2]",
+    "//item[contains(name, 'number 7')]/@id",
+    "//item[string-length(description) > 10]",
+    "sum(//bid/@increase)",
+];
+
+#[test]
+fn column_predicates_make_no_table_entry_per_candidate() {
+    // Evaluated per candidate, each of the first three made 1 + 3·items
+    // entries; by column the table holds the paths only.
+    let n = 20;
+    for items in [n, 16 * n] {
+        let doc = auction_site_document(&mut StdRng::seed_from_u64(25), items);
+        for query in COLUMN_QUERIES {
+            let plan = CompiledQuery::compile(query).unwrap();
+            let out = plan.run(&doc).unwrap();
+            let entries = out.stats.table_entries;
+            assert!(entries <= 4, "{query} at {items} items: {entries} entries");
+            let expected = ReferenceEvaluator::new(&doc).evaluate(plan.expr()).unwrap();
+            assert_eq!(out.value, expected, "{query} at {items} items");
         }
     }
 }

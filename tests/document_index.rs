@@ -6,6 +6,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
+use xpeval::engine::reference::ReferenceEvaluator;
 use xpeval::prelude::*;
 use xpeval::workloads::{auction_site_document, random_tree_document};
 
@@ -201,5 +202,54 @@ fn the_auto_plan_is_independent_of_document_size() {
         let expected = decided.run(&doc).unwrap().value;
         assert_eq!(q.run_prepared(&prepared).unwrap().value, expected);
         assert_eq!(q.run(&doc).unwrap().value, expected);
+    }
+}
+
+#[test]
+fn attribute_name_tests_are_not_looked_up_among_element_tags() {
+    // An attribute named like an element: attribute-axis tests match
+    // attribute names, which the prepared tag table does not hold.
+    let doc = parse_xml(r#"<r><a id="1"><id>2</id></a></r>"#).unwrap();
+    let prepared = PreparedDocument::new(doc.clone());
+    for (query, expected_len) in [
+        ("//a/@id", Some(1)),
+        ("//a/id", Some(1)),
+        ("//@id", Some(1)),
+        ("count(//a[@id])", None),
+    ] {
+        let q = CompiledQuery::compile(query).unwrap();
+        let expected = ReferenceEvaluator::new(&doc).evaluate(q.expr()).unwrap();
+        if let Some(len) = expected_len {
+            assert_eq!(expected.expect_nodes().len(), len, "{query}");
+        } else {
+            assert_eq!(expected, Value::Number(1.0), "{query}");
+        }
+        assert_eq!(q.run(&doc).unwrap().value, expected, "{query}");
+        assert_eq!(
+            q.run_prepared(&prepared).unwrap().value,
+            expected,
+            "{query} (prepared)"
+        );
+    }
+    // The step itself, with the name test in either form.
+    let a = doc
+        .all_elements()
+        .find(|&n| doc.name(n) == Some("a"))
+        .unwrap();
+    let tests = [
+        NodeTest::name("id"),
+        NodeTest::Resolved {
+            name: "id".into(),
+            id: prepared.tag_id("id"),
+        },
+    ];
+    for test in &tests {
+        let plain = AxisSource::axis_step(&doc, a, Axis::Attribute, test);
+        assert_eq!(plain.len(), 1, "{test:?}");
+        assert_eq!(
+            AxisSource::axis_step(&prepared, a, Axis::Attribute, test),
+            plain
+        );
+        assert!(AxisSource::step_exists(&prepared, a, Axis::Attribute, test));
     }
 }

@@ -358,6 +358,37 @@ proptest! {
         prop_assert_eq!(&dp, &select(&doc, &query, EvalStrategy::Parallel { threads: 2 }));
     }
 
+    /// Predicates answered by column, and `child` steps from many contexts,
+    /// on random trees where same-tag elements nest: the table machine
+    /// agrees with the reference on the plain and on the prepared document.
+    #[test]
+    fn column_predicates_agree_on_random_trees(seed in 0u64..5000, nodes in 5usize..150) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let doc = random_tree_document(&mut rng, nodes, &["a", "b", "c"]);
+        let prepared = PreparedDocument::new(doc.clone());
+        for src in [
+            "//a[count(b) > 1]",
+            "//a[count(.//b) = 2]",
+            "//a[count(b/c) > 0 and not(c)]",
+            "//a[count(b/..) = 1]",
+            "//b[count(ancestor::a) > 1]",
+            "//a[count(descendant::b/ancestor::c) >= count(c)]",
+            "//*[count(a) = count(b) or string(.) != '']",
+            "count(//a[sum(b) != sum(b)])",
+            "//a//b/c",
+            "//a/b/c[count(*) = 0]",
+        ] {
+            let query = parse_query(src).unwrap();
+            let expected = ReferenceEvaluator::new(&doc).evaluate(&query).unwrap();
+            let table = plan(&query, CVT);
+            prop_assert_eq!(&table.run(&doc).unwrap().value, &expected, "{}", src);
+            prop_assert_eq!(
+                &table.run_prepared(&prepared).unwrap().value, &expected,
+                "{} (prepared)", src
+            );
+        }
+    }
+
     /// The naive machine, the AST-level reference and the table machine agree
     /// on everything the naive ones can finish (they only differ in cost,
     /// never in the result).

@@ -12,42 +12,12 @@
 //!   its registry instruments once at attach time, so the steady state is
 //!   atomics only; this test pins that with a counting global allocator.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod counting_alloc;
+
+use counting_alloc::allocations_now;
 use std::sync::Arc;
 use xpeval::prelude::*;
 use xpeval::workloads::{core_xpath_query_corpus, random_tree_document};
-
-/// Counts allocations made by the *current thread*, so parallel test
-/// threads don't pollute each other's measurements.
-struct CountingAllocator;
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-fn allocations_now() -> u64 {
-    ALLOCATIONS.with(|count| count.get())
-}
 
 const ALL_STRATEGIES: [EvalStrategy; 5] = [
     EvalStrategy::ContextValueTable,
