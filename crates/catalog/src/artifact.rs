@@ -55,7 +55,7 @@
 use crate::stats::CatalogStats;
 use crate::DocId;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use xpeval_backends::BackendKind;
 use xpeval_core::steps::final_step_tag_names;
 use xpeval_core::{
@@ -458,10 +458,17 @@ pub(crate) struct Retarget {
     pub(crate) renumbered: bool,
 }
 
+/// One artifact build in progress: the thread that missed the key builds
+/// into it, and threads that ask for the key meanwhile wait on it.
+type Flight = Arc<OnceLock<Result<Arc<PlanArtifact>, EvalError>>>;
+
 #[derive(Debug, Default)]
 struct ArtifactInner {
     /// (scope, backend kind) → query source → artifact.
     groups: HashMap<(ArtifactScope, BackendKind), HashMap<String, ArtifactEntry>>,
+    /// Keys being built right now, grouped like `groups`; a key leaves
+    /// when its build lands.
+    in_flight: HashMap<(ArtifactScope, BackendKind), HashMap<String, Flight>>,
     /// Which documents currently hold each shared `(content, kind)`
     /// scope, with hold counts (a replacement registers the incoming
     /// generation *before* releasing the outgoing one, so identical
@@ -481,6 +488,21 @@ struct ArtifactInner {
 }
 
 impl ArtifactInner {
+    /// The stored artifact for (query, scope, kind) with its recency
+    /// refreshed; counts nothing.
+    fn touch(
+        &mut self,
+        scope: ArtifactScope,
+        kind: BackendKind,
+        query: &str,
+    ) -> Option<Arc<PlanArtifact>> {
+        self.tick += 1;
+        let tick = self.tick;
+        let entry = self.groups.get_mut(&(scope, kind))?.get_mut(query)?;
+        entry.last_used = tick;
+        Some(Arc::clone(&entry.artifact))
+    }
+
     /// Removes the least-recently-used entry across all groups.
     fn evict_lru(&mut self) {
         // Scan by reference; only the winning key is cloned (the borrow
@@ -531,6 +553,35 @@ impl ArtifactInner {
     }
 }
 
+/// Lands a build its thread led: takes the key off the in-flight list and
+/// stores the artifact if there is one.  Done on drop, so a panicking build
+/// leaves no flight behind.
+struct Landing<'a> {
+    cache: &'a ArtifactCache,
+    group: (ArtifactScope, BackendKind),
+    query: &'a str,
+    artifact: Option<Arc<PlanArtifact>>,
+}
+
+impl Drop for Landing<'_> {
+    fn drop(&mut self) {
+        let mut inner = self
+            .cache
+            .inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(queries) = inner.in_flight.get_mut(&self.group) {
+            queries.remove(self.query);
+            if queries.is_empty() {
+                inner.in_flight.remove(&self.group);
+            }
+        }
+        if let Some(artifact) = self.artifact.take() {
+            self.cache.store(&mut inner, self.query, &artifact);
+        }
+    }
+}
+
 impl ArtifactCache {
     /// Creates a cache holding at most `capacity` artifacts; 0 disables
     /// caching (every evaluation re-specializes).
@@ -542,42 +593,95 @@ impl ArtifactCache {
     }
 
     /// Looks up the artifact for (query, scope, kind), refreshing its
-    /// recency on a hit.  Allocation-free.
-    pub(crate) fn get(
+    /// recency on a hit.
+    #[cfg(test)]
+    fn get(
         &self,
         scope: ArtifactScope,
         kind: BackendKind,
         query: &str,
     ) -> Option<Arc<PlanArtifact>> {
         let mut inner = self.inner.lock().unwrap();
-        inner.tick += 1;
-        let tick = inner.tick;
-        match inner
-            .groups
-            .get_mut(&(scope, kind))
-            .and_then(|queries| queries.get_mut(query))
-        {
-            Some(entry) => {
-                entry.last_used = tick;
-                let artifact = Arc::clone(&entry.artifact);
-                inner.hits += 1;
-                Some(artifact)
-            }
-            None => {
-                inner.misses += 1;
-                None
-            }
+        let found = inner.touch(scope, kind, query);
+        match found {
+            Some(_) => inner.hits += 1,
+            None => inner.misses += 1,
         }
+        found
+    }
+
+    /// The artifact for (query, scope, kind), built by `build` on a miss —
+    /// once per key however many threads miss it together.  The first
+    /// thread to miss builds; threads asking while it does wait for its
+    /// result and count as hits.  An error reaches every waiter and is not
+    /// stored.  Returns the artifact and whether the lookup was a hit; a
+    /// hit on a stored artifact allocates nothing.
+    pub(crate) fn get_or_build(
+        &self,
+        scope: ArtifactScope,
+        kind: BackendKind,
+        query: &str,
+        build: impl FnOnce() -> Result<Arc<PlanArtifact>, EvalError>,
+    ) -> Result<(Arc<PlanArtifact>, bool), EvalError> {
+        let (flight, leads) = {
+            let mut inner = self.inner.lock().unwrap();
+            if let Some(artifact) = inner.touch(scope, kind, query) {
+                inner.hits += 1;
+                return Ok((artifact, true));
+            }
+            // A key is in flight only while it is not stored: its build
+            // lands under the same lock that stores it.
+            let waiting = inner
+                .in_flight
+                .get(&(scope, kind))
+                .and_then(|queries| queries.get(query))
+                .cloned();
+            match waiting {
+                Some(flight) => {
+                    inner.hits += 1;
+                    (flight, false)
+                }
+                None => {
+                    inner.misses += 1;
+                    let flight = Flight::default();
+                    if self.capacity > 0 {
+                        inner
+                            .in_flight
+                            .entry((scope, kind))
+                            .or_default()
+                            .insert(query.to_string(), Arc::clone(&flight));
+                    }
+                    (flight, true)
+                }
+            }
+        };
+        if !leads {
+            return Ok((flight.get_or_init(build).clone()?, true));
+        }
+        let mut landing = Landing {
+            cache: self,
+            group: (scope, kind),
+            query,
+            artifact: None,
+        };
+        let artifact = flight.get_or_init(build).clone()?;
+        landing.artifact = Some(Arc::clone(&artifact));
+        Ok((artifact, false))
     }
 
     /// Stores an artifact under its own (query, scope, kind) key,
     /// evicting the least-recently-used entry when full.
-    pub(crate) fn insert(&self, query: &str, artifact: &Arc<PlanArtifact>) {
+    #[cfg(test)]
+    fn insert(&self, query: &str, artifact: &Arc<PlanArtifact>) {
+        let mut inner = self.inner.lock().unwrap();
+        self.store(&mut inner, query, artifact);
+    }
+
+    fn store(&self, inner: &mut ArtifactInner, query: &str, artifact: &Arc<PlanArtifact>) {
         if self.capacity == 0 {
             return;
         }
         let group = (artifact.scope(), artifact.backend());
-        let mut inner = self.inner.lock().unwrap();
         inner.tick += 1;
         let tick = inner.tick;
         let replaces_existing = inner

@@ -1162,8 +1162,24 @@ impl Catalog {
         shared.evaluations.fetch_add(1, Ordering::Relaxed);
         entry.counters.evaluations.fetch_add(1, Ordering::Relaxed);
         let entry = self.grown_for(entry, query)?;
-        let mut out = if let Some(artifact) = shared.artifacts.get(entry.scope(), entry.kind, query)
-        {
+        // A miss compiles through the engine's shared plan cache, then
+        // specializes for this document snapshot, outside every lock; threads
+        // missing the same key meanwhile wait for that one artifact.
+        let (artifact, hit) =
+            shared
+                .artifacts
+                .get_or_build(entry.scope(), entry.kind, query, || {
+                    let plan = shared.engine.compile(query)?;
+                    Ok(Arc::new(PlanArtifact::build(
+                        &plan,
+                        entry.id,
+                        entry.generation,
+                        entry.revision,
+                        entry.kind,
+                        &entry.prepared,
+                    )))
+                })?;
+        if hit {
             entry.counters.artifact_hits.fetch_add(1, Ordering::Relaxed);
             if artifact.doc() != entry.id {
                 // Served by an artifact another document built: the
@@ -1172,23 +1188,8 @@ impl Catalog {
                     .artifact_cross_doc_hits
                     .fetch_add(1, Ordering::Relaxed);
             }
-            artifact.run_bound(bindings)?
-        } else {
-            // Miss: compile through the engine's shared plan cache, then
-            // specialize for this document snapshot.  Both steps happen
-            // outside every lock.
-            let plan = shared.engine.compile(query)?;
-            let artifact = Arc::new(PlanArtifact::build(
-                &plan,
-                entry.id,
-                entry.generation,
-                entry.revision,
-                entry.kind,
-                &entry.prepared,
-            ));
-            shared.artifacts.insert(query, &artifact);
-            artifact.run_bound(bindings)?
-        };
+        }
+        let mut out = artifact.run_bound(bindings)?;
         if entry.kind == BackendKind::Lazy {
             // Witness the laziness: how many arena nodes the query's wave
             // actually holds (compare with the document's total to see the

@@ -11,7 +11,10 @@
 //! [`crate::Engine::compile`] / [`crate::Engine::evaluate_str`] call, and
 //! its [`CacheStats`] make hits and misses observable — in aggregate and
 //! per shard — so tests and benches can assert that a repeated query string
-//! really skips re-parsing.
+//! really skips re-parsing.  Compilation is single-flight
+//! ([`ShardedPlanCache::get_or_compile`]): the first thread to miss a key
+//! compiles it, and threads asking for the same key meanwhile wait for that
+//! one result and count as hits.
 //!
 //! [`DocumentCache`] is the same idea for the document side of the
 //! pipeline: it memoizes [`PreparedDocument`] index construction per
@@ -27,10 +30,11 @@
 //! paths that must stay allocation-free).
 
 use crate::compile::CompiledQuery;
+use crate::error::EvalError;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use xpeval_dom::{Document, PreparedDocument};
 use xpeval_obs::{Field, FieldValue, MetricSource};
 
@@ -150,11 +154,26 @@ struct Entry {
     last_used: u64,
 }
 
+/// One compilation in progress: the thread that missed the key compiles
+/// into it, and threads that ask for the key meanwhile wait on it.
+type Flight = Arc<OnceLock<Result<Arc<CompiledQuery>, EvalError>>>;
+
+/// What a lookup found: the plan, a compilation to wait for, or the
+/// compilation this thread now owes.
+enum Join {
+    Hit(Arc<CompiledQuery>),
+    Wait(Flight),
+    Lead(Flight),
+}
+
 /// A bounded LRU map from query string to compiled plan.
 #[derive(Debug)]
 pub struct PlanCache {
     capacity: usize,
     entries: HashMap<String, Entry>,
+    /// Keys being compiled right now.  A key leaves when its compilation
+    /// lands, whether it succeeded (then the plan is stored) or not.
+    in_flight: HashMap<String, Flight>,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -168,6 +187,7 @@ impl PlanCache {
         PlanCache {
             capacity,
             entries: HashMap::with_capacity(capacity.min(1024)),
+            in_flight: HashMap::new(),
             tick: 0,
             hits: 0,
             misses: 0,
@@ -177,18 +197,46 @@ impl PlanCache {
 
     /// Looks up a plan, refreshing its recency on a hit.
     pub fn get(&mut self, source: &str) -> Option<Arc<CompiledQuery>> {
-        self.tick += 1;
-        match self.entries.get_mut(source) {
-            Some(entry) => {
-                entry.last_used = self.tick;
-                self.hits += 1;
-                Some(Arc::clone(&entry.plan))
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
+        let found = self.touch(source);
+        match found {
+            Some(_) => self.hits += 1,
+            None => self.misses += 1,
         }
+        found
+    }
+
+    /// The stored plan for `source` with its recency refreshed; counts
+    /// nothing.
+    fn touch(&mut self, source: &str) -> Option<Arc<CompiledQuery>> {
+        self.tick += 1;
+        let entry = self.entries.get_mut(source)?;
+        entry.last_used = self.tick;
+        Some(Arc::clone(&entry.plan))
+    }
+
+    /// [`PlanCache::get`] that joins a compilation in progress: a key being
+    /// compiled counts as a hit and hands back the flight to wait on; a key
+    /// neither stored nor in flight counts as a miss and registers a flight
+    /// the caller must compile into and land.  A cache of capacity 0 stores
+    /// nothing, so it registers no flight either.
+    fn join(&mut self, source: &str) -> Join {
+        if let Some(plan) = self.touch(source) {
+            self.hits += 1;
+            return Join::Hit(plan);
+        }
+        // A key is in flight only while it is not stored: its flight lands
+        // under the same lock that stores it.
+        if let Some(flight) = self.in_flight.get(source) {
+            self.hits += 1;
+            return Join::Wait(Arc::clone(flight));
+        }
+        self.misses += 1;
+        let flight = Flight::default();
+        if self.capacity > 0 {
+            self.in_flight
+                .insert(source.to_string(), Arc::clone(&flight));
+        }
+        Join::Lead(flight)
     }
 
     /// Stores a plan, evicting the least-recently-used entry when full.
@@ -287,6 +335,35 @@ impl ShardedPlanCache {
         self.shard_for(&source).lock().unwrap().insert(source, plan);
     }
 
+    /// The plan for `source`, compiled by `compile` on a miss — once per
+    /// key however many threads miss it together.  The first thread to
+    /// miss compiles; threads asking while it does wait for its result and
+    /// count as hits.  An error reaches every waiter and is not stored, so
+    /// the next call compiles again.  A hit takes the shard lock once, as
+    /// [`ShardedPlanCache::get`] does.
+    pub fn get_or_compile(
+        &self,
+        source: &str,
+        compile: impl FnOnce() -> Result<Arc<CompiledQuery>, EvalError>,
+    ) -> Result<Arc<CompiledQuery>, EvalError> {
+        let shard = self.shard_for(source);
+        let join = shard.lock().unwrap().join(source);
+        match join {
+            Join::Hit(plan) => Ok(plan),
+            Join::Wait(flight) => flight.get_or_init(compile).clone(),
+            Join::Lead(flight) => {
+                let mut landing = Landing {
+                    shard,
+                    source,
+                    plan: None,
+                };
+                let result = flight.get_or_init(compile).clone();
+                landing.plan = result.as_ref().ok().cloned();
+                result
+            }
+        }
+    }
+
     /// Aggregated counters plus the per-shard breakdown.
     pub fn stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
@@ -310,6 +387,25 @@ impl ShardedPlanCache {
     pub fn clear(&self) {
         for shard in &self.shards {
             shard.lock().unwrap().clear();
+        }
+    }
+}
+
+/// Lands a compilation its thread led: takes the key off the in-flight
+/// list and stores the plan if there is one.  Done on drop, so a panicking
+/// compilation leaves no flight behind.
+struct Landing<'a> {
+    shard: &'a Mutex<PlanCache>,
+    source: &'a str,
+    plan: Option<Arc<CompiledQuery>>,
+}
+
+impl Drop for Landing<'_> {
+    fn drop(&mut self) {
+        let mut shard = self.shard.lock().unwrap_or_else(PoisonError::into_inner);
+        shard.in_flight.remove(self.source);
+        if let Some(plan) = self.plan.take() {
+            shard.insert(self.source.to_string(), plan);
         }
     }
 }

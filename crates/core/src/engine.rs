@@ -266,17 +266,14 @@ impl Engine {
 
     /// Compiles a query string under this engine's configuration, through
     /// the plan cache: a repeated source string is answered without
-    /// re-parsing or re-classifying.
+    /// re-parsing or re-classifying, and threads that miss the same string
+    /// together share one compilation
+    /// ([`ShardedPlanCache::get_or_compile`]).
     pub fn compile(&self, source: &str) -> Result<Arc<CompiledQuery>, EvalError> {
-        if let Some(hit) = self.inner.cache.get(source) {
-            return Ok(hit);
-        }
-        let compiled = CompiledQuery::compile_with(source, &self.compile_options(true))?;
-        let plan = Arc::new(self.attach_telemetry(compiled));
-        self.inner
-            .cache
-            .insert(source.to_string(), Arc::clone(&plan));
-        Ok(plan)
+        self.inner.cache.get_or_compile(source, || {
+            let compiled = CompiledQuery::compile_with(source, &self.compile_options(true))?;
+            Ok(Arc::new(self.attach_telemetry(compiled)))
+        })
     }
 
     /// Compiles an already-parsed expression under this engine's

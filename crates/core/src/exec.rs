@@ -213,10 +213,11 @@ pub(crate) struct IrEvaluator<'d, 'q, S: AxisSource + ?Sized = Document> {
     sat_asked: KeyMap<OpId, usize>,
 }
 
-/// A `sat` set costs one sweep of the document per step of its predicate,
-/// so it is computed only once the candidates it has to answer for add up
-/// to 1/`SAT_SWEEP_SHARE` of the document; the handful of candidates of a
-/// lookup (`/site/people/person[1]/profile[interest]`) is asked one by one.
+/// A `sat` set costs up to one sweep of the document per step of its
+/// predicate, so it is computed only once the candidates it has to answer
+/// for add up to 1/`SAT_SWEEP_SHARE` of the document; the handful of
+/// candidates of a lookup (`/site/people/person[1]/profile[interest]`) is
+/// asked one by one.
 const SAT_SWEEP_SHARE: usize = 1024;
 
 impl<'d, 'q, S: AxisSource + ?Sized> IrEvaluator<'d, 'q, S> {
@@ -258,6 +259,7 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrEvaluator<'d, 'q, S> {
             evaluations: self.stats.evaluations + sets.evaluations,
             step_context_evaluations: self.stats.step_context_evaluations
                 + sets.step_context_evaluations,
+            work: self.stats.work + sets.work,
             table_entries: self.memo.len(),
             ..self.stats
         }
@@ -777,9 +779,11 @@ fn holds_in_place(doc: &Document, test: &StringTest, node: NodeId) -> bool {
 
 /// Set-at-a-time executor for Core XPath (Proposition 2.7, after Gottlob &
 /// Koch's VLDB'02 algorithm): node sets are bitsets over the document,
-/// every location step is one image under the axis relation (O(|D|) per
-/// step, [`sets::axis_image`]), and conditions are evaluated bottom-up as
-/// the set of nodes at which they hold — negation is bitset complement.
+/// every location step is one image under the axis relation (at most
+/// O(|D|) per step, and O(|S| log |S| + |L|) for a name test on a source
+/// with tag lists and subtree intervals, [`sets::step_image`]), and
+/// conditions are evaluated bottom-up as the set of nodes at which they
+/// hold — negation is bitset complement.
 /// Relative paths inside conditions run *backwards* through inverse axes
 /// (`sat`), which is what avoids quadratic behaviour for predicates.
 pub(crate) struct IrLinear<'d, 'q, S: AxisSource + ?Sized = Document> {
@@ -797,6 +801,8 @@ pub(crate) struct IrLinear<'d, 'q, S: AxisSource + ?Sized = Document> {
     /// Location-step applications (one axis image per step, forward or
     /// inverse, each handling all contexts at once).
     steps_applied: Cell<u64>,
+    /// Nodes and list entries the set functions scanned.
+    work: Cell<u64>,
 }
 
 impl<'d, 'q, S: AxisSource + ?Sized> IrLinear<'d, 'q, S> {
@@ -822,6 +828,7 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrLinear<'d, 'q, S> {
             trace,
             evaluations: Cell::new(0),
             steps_applied: Cell::new(0),
+            work: Cell::new(0),
         }
     }
 
@@ -829,6 +836,7 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrLinear<'d, 'q, S> {
         EvalStats {
             evaluations: self.evaluations.get(),
             step_context_evaluations: self.steps_applied.get(),
+            work: self.work.get(),
             ..EvalStats::default()
         }
     }
@@ -949,13 +957,11 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrLinear<'d, 'q, S> {
         Ok(image)
     }
 
-    /// `axis::test` from a whole node set: one O(|D|) image under the axis
+    /// `axis::test` from a whole node set: one image under the axis
     /// relation, cut down to the node test.
     fn step_image(&self, axis: Axis, test: &NodeTest, from: &NodeBitSet) -> NodeBitSet {
         self.steps_applied.set(self.steps_applied.get() + 1);
-        let mut image = sets::axis_image(self.src, &self.order, axis, from);
-        image.intersect_with(&sets::test_set(self.src, test, axis));
-        image
+        sets::step_image(self.src, &self.order, axis, test, from, &self.work)
     }
 
     fn sat(&self, id: OpId) -> Result<NodeBitSet, EvalError> {
@@ -1025,7 +1031,7 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrLinear<'d, 'q, S> {
     /// which the path selects at least one node — with `compare`, one whose
     /// string value passes the comparison (XPath 1.0 §3.4: a node set
     /// compared with a constant is existential over its nodes).  Computed
-    /// right-to-left through inverse axes in O(|D| · #steps).
+    /// right-to-left through inverse axes, one pre-image per step.
     fn sat_path(
         &self,
         absolute: bool,
@@ -1040,7 +1046,7 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrLinear<'d, 'q, S> {
             // Nodes that match this step's test and predicates and already
             // satisfy the remaining suffix — the last step's, whose string
             // passes the comparison...
-            let mut target = sets::test_set(self.src, &step.test, step.axis);
+            let mut target = sets::test_set(self.src, &step.test, step.axis, &self.work);
             for &pred in self.ir.step_preds(step) {
                 target.intersect_with(&self.sat(pred)?);
             }
@@ -1049,7 +1055,7 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrLinear<'d, 'q, S> {
                 target = self.compared(&target, op, atom);
             }
             // ...and the nodes from which the axis reaches such a target.
-            suffix_ok = sets::axis_preimage(self.src, &self.order, step.axis, &target);
+            suffix_ok = sets::axis_preimage(self.src, &self.order, step.axis, &target, &self.work);
         }
         if let Some((op, atom)) = compare {
             // `/ op c`, the one path without steps: the root's own string.
@@ -1072,11 +1078,14 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrLinear<'d, 'q, S> {
     /// The members of `set` whose string value compares true with `atom`.
     fn compared(&self, set: &NodeBitSet, op: RelOp, atom: &Value) -> NodeBitSet {
         let mut out = NodeBitSet::empty(self.n);
+        let mut scanned = 0u64;
         for node in set.iter_nodes() {
+            scanned += 1;
             if compare_string_atom(&self.doc.string_value_cow(node), op, atom.scalar()) {
                 out.insert(node);
             }
         }
+        self.work.set(self.work.get() + scanned);
         out
     }
 }

@@ -2,12 +2,26 @@
 //!
 //! Plain data and free functions, no evaluator state: [`NodeBitSet`] (a set
 //! of document nodes as a bitset over arena indices), the set-at-a-time
-//! axis image and node-test set the linear machine is built from
-//! (Proposition 2.7: one O(|D|) image per location step, negation as bitset
-//! complement), and the sorted-vector set operators and node comparison the
-//! tree-walk machines share.  Everything reads the document through an
-//! [`AxisSource`], so a [`xpeval_dom::PreparedDocument`] answers name tests
-//! from its tag index and subtree ends from its interval table.
+//! location step the linear machine is built from (Proposition 2.7: one
+//! image per location step, negation as bitset complement), and the
+//! sorted-vector set operators and node comparison the tree-walk machines
+//! share.
+//!
+//! A step `axis::test` from a node set S is `step_image`.  On a source
+//! with preorder subtree intervals (a [`xpeval_dom::PreparedDocument`], or
+//! a live document's snapshot of one) it is a staircase step in the manner
+//! of Grust, van Keulen and Teubner's staircase join: `descendant::t`,
+//! `child::t`, `following::t` and `preceding::t` read the tag list L of `t`
+//! (or the document-order table for a test without one) in ranges cut by
+//! the preorder intervals of S, at O(|S| log |S| + |L|) and without
+//! visiting a node outside L ∪ S; the sibling and ancestor axes walk from
+//! S and stop where another walk already went.  On a source without
+//! intervals (a raw [`Document`], or a mask hiding them) every step is the
+//! O(|D|) sweep `axis_image` cut down to `test_set`.  Each function
+//! charges the nodes and list entries it scans to a `work` counter, once
+//! per call.
+
+use std::cell::Cell;
 
 use xpeval_dom::{Axis, AxisSource, Document, NodeId, NodeTest};
 use xpeval_syntax::NodeCompOp;
@@ -120,57 +134,327 @@ impl NodeBitSet {
     }
 }
 
+/// Adds `n` to a `work` counter: the linear machine's set functions charge
+/// what they scan this way, once per call.
+fn charge(work: &Cell<u64>, n: usize) {
+    work.set(work.get() + n as u64);
+}
+
+/// The tag list answering an element name test on an element-principal
+/// axis, in document order, when the source indexes tags.
+fn tag_list<'s, S: AxisSource + ?Sized>(
+    src: &'s S,
+    test: &NodeTest,
+    axis: Axis,
+) -> Option<&'s [NodeId]> {
+    if axis.principal_is_attribute() {
+        return None;
+    }
+    match test {
+        // Resolved-absent still carries the name so evaluation stays
+        // correct on sources other than the one it resolved against.
+        NodeTest::Name(name) | NodeTest::Resolved { name, id: None } => src.elements_named(name),
+        // A pre-resolved test skips even the one string hash.
+        NodeTest::Resolved { id: Some(id), .. } => src.elements_by_tag(*id),
+        _ => None,
+    }
+}
+
 /// All nodes matching a node test (taking the axis' principal node type
 /// into account).
-pub(crate) fn test_set<S: AxisSource + ?Sized>(src: &S, test: &NodeTest, axis: Axis) -> NodeBitSet {
+// Inlined into its callers: not inlined, the sweep over an attribute name
+// test in a `sat` set measured ~6 % slower.
+#[inline]
+pub(crate) fn test_set<S: AxisSource + ?Sized>(
+    src: &S,
+    test: &NodeTest,
+    axis: Axis,
+    work: &Cell<u64>,
+) -> NodeBitSet {
     let doc = src.document();
-    let n = doc.len();
-    // Indexed fast path: a tag-name test on an element-principal axis
-    // is exactly the tag index — no per-node string comparison.  A
-    // pre-resolved test skips even the one string hash.
-    if !axis.principal_is_attribute() {
-        let indexed = match test {
-            NodeTest::Name(name) => Some(src.elements_named(name)),
-            NodeTest::Resolved { id: Some(id), .. } => Some(src.elements_by_tag(*id)),
-            // Resolved-absent still carries the name so evaluation stays
-            // correct on sources other than the one it resolved against.
-            NodeTest::Resolved { name, id: None } => Some(src.elements_named(name)),
-            _ => None,
-        };
-        if let Some(Some(elements)) = indexed {
-            let mut s = NodeBitSet::empty(n);
-            for &node in elements {
-                s.insert(node);
-            }
-            return s;
+    let mut s = NodeBitSet::empty(doc.len());
+    // Indexed fast path: a tag-name test on an element-principal axis is
+    // exactly the tag index — no per-node string comparison.
+    if let Some(elements) = tag_list(src, test, axis) {
+        for &node in elements {
+            s.insert(node);
         }
+        charge(work, elements.len());
+        return s;
     }
-    let mut s = NodeBitSet::empty(n);
     for node in doc.all_nodes() {
         if doc.matches_on_axis(node, test, axis) {
             s.insert(node);
         }
     }
+    charge(work, doc.len());
     s
 }
 
-/// Image of a node set under an axis relation, computed in O(|D|).  `order`
-/// is the source's document-order table ([`AxisSource::document_order`]),
-/// fetched once by the caller and reused for every image.
+/// `axis::test` from the node set `from`: the staircase step when the
+/// source has subtree intervals, otherwise [`axis_image`] ∩ [`test_set`].
+/// `order` is the source's document-order table
+/// ([`AxisSource::document_order`]), fetched once by the caller and reused
+/// for every step.
+pub(crate) fn step_image<S: AxisSource + ?Sized>(
+    src: &S,
+    order: &[NodeId],
+    axis: Axis,
+    test: &NodeTest,
+    from: &NodeBitSet,
+    work: &Cell<u64>,
+) -> NodeBitSet {
+    if let Some(image) = staircase(src, order, axis, test, from, work) {
+        return image;
+    }
+    let mut image = axis_image(src, order, axis, from, work);
+    image.intersect_with(&test_set(src, test, axis, work));
+    image
+}
+
+/// The staircase form of [`step_image`], or `None` where it keeps the
+/// sweep: on a source without subtree intervals, and on the one-hop axes
+/// `self`, `parent` and `attribute`, whose images already cost O(|S|).
+///
+/// The candidates are the test's tag list L when the source has one, else
+/// the document-order table filtered by the test.  Both are sorted by
+/// preorder key, and keys are gapped, so ranges are found with
+/// `partition_point`.
+fn staircase<S: AxisSource + ?Sized>(
+    src: &S,
+    order: &[NodeId],
+    axis: Axis,
+    test: &NodeTest,
+    from: &NodeBitSet,
+    work: &Cell<u64>,
+) -> Option<NodeBitSet> {
+    if matches!(axis, Axis::SelfAxis | Axis::Parent | Axis::Attribute)
+        || !src.capabilities().intervals
+    {
+        return None;
+    }
+    let doc = src.document();
+    let list = tag_list(src, test, axis);
+    let keys = list.unwrap_or(order);
+    // No axis read from `keys` contains attributes, and a tag list holds
+    // elements of the tested name only.
+    let keep = |m: NodeId| {
+        list.is_some() || (!doc.kind(m).is_attribute() && doc.matches_on_axis(m, test, axis))
+    };
+    let below = |bound: u32| move |&m: &NodeId| doc.pre(m) < bound;
+    let mut out = NodeBitSet::empty(from.len);
+    let mut scanned = 0usize;
+    match axis {
+        Axis::Descendant | Axis::DescendantOrSelf => {
+            let or_self = axis == Axis::DescendantOrSelf;
+            // The subtree intervals of S, outermost only: sorted by pre,
+            // a later interval starting inside a kept one nests in it.
+            let mut spans = Vec::new();
+            for s in from.iter_nodes() {
+                scanned += 1;
+                if !doc.kind(s).is_attribute() {
+                    spans.push((doc.pre(s), subtree_end_of(src, s)));
+                } else if or_self && doc.matches_on_axis(s, test, axis) {
+                    out.insert(s);
+                }
+            }
+            if !spans.windows(2).all(|w| w[0].0 < w[1].0) {
+                spans.sort_unstable_by_key(|&(pre, _)| pre);
+            }
+            let mut rest = keys;
+            let mut covered = None;
+            for (pre, end) in spans {
+                if covered.is_some_and(|c| pre < c) {
+                    continue;
+                }
+                covered = Some(end);
+                // `descendant` starts strictly after the context node.
+                let before = rest.partition_point(|&m| match or_self {
+                    true => doc.pre(m) < pre,
+                    false => doc.pre(m) <= pre,
+                });
+                rest = &rest[before..];
+                let inside = rest.partition_point(below(end));
+                for &m in &rest[..inside] {
+                    if keep(m) {
+                        out.insert(m);
+                    }
+                }
+                scanned += inside;
+                rest = &rest[inside..];
+            }
+        }
+        Axis::Child => {
+            match list {
+                // The members of L inside S's span whose parent is in S.
+                Some(list) => {
+                    let (mut lo, mut hi) = (u32::MAX, 0);
+                    for s in from.iter_nodes() {
+                        scanned += 1;
+                        lo = lo.min(doc.pre(s));
+                        hi = hi.max(subtree_end_of(src, s));
+                    }
+                    let start = list.partition_point(below(lo));
+                    let len = list[start..].partition_point(below(hi));
+                    for &m in &list[start..start + len] {
+                        if doc.parent(m).is_some_and(|p| from.contains(p)) {
+                            out.insert(m);
+                        }
+                    }
+                    scanned += len;
+                }
+                None => {
+                    for s in from.iter_nodes() {
+                        scanned += 1;
+                        let mut c = doc.first_child(s);
+                        while let Some(ch) = c {
+                            scanned += 1;
+                            if doc.matches_on_axis(ch, test, axis) {
+                                out.insert(ch);
+                            }
+                            c = doc.next_sibling(ch);
+                        }
+                    }
+                }
+            }
+        }
+        Axis::Following => {
+            // v follows some u ∈ S iff pre(v) >= min over u of the end of
+            // u's subtree interval: one suffix of the candidates.
+            let mut min_start = None;
+            for u in from.iter_nodes() {
+                scanned += 1;
+                let end = subtree_end_of(src, owner_element(doc, u));
+                min_start = Some(min_start.map_or(end, |m: u32| m.min(end)));
+            }
+            if let Some(start) = min_start {
+                let lo = keys.partition_point(below(start));
+                for &m in &keys[lo..] {
+                    if keep(m) {
+                        out.insert(m);
+                    }
+                }
+                scanned += keys.len() - lo;
+            }
+        }
+        Axis::Preceding => {
+            // v precedes some u ∈ S iff v's subtree ends at or before
+            // max over u of pre(u): a prefix of the candidates, less the
+            // ancestors of that u.
+            let mut max_pre = None;
+            for u in from.iter_nodes() {
+                scanned += 1;
+                let pre = doc.pre(owner_element(doc, u));
+                max_pre = Some(max_pre.map_or(pre, |m: u32| m.max(pre)));
+            }
+            if let Some(max_pre) = max_pre {
+                let hi = keys.partition_point(below(max_pre));
+                for &m in &keys[..hi] {
+                    if subtree_end_of(src, m) <= max_pre && keep(m) {
+                        out.insert(m);
+                    }
+                }
+                scanned += hi;
+            }
+        }
+        Axis::FollowingSibling | Axis::PrecedingSibling => {
+            // Each walk stops at the next member of S, whose own walk goes
+            // on from there: every sibling is visited at most once.
+            let next = |n: NodeId| match axis {
+                Axis::FollowingSibling => doc.next_sibling(n),
+                _ => doc.prev_sibling(n),
+            };
+            for s in from.iter_nodes() {
+                scanned += 1;
+                let mut c = next(s);
+                while let Some(sib) = c {
+                    scanned += 1;
+                    out.insert(sib);
+                    if from.contains(sib) {
+                        break;
+                    }
+                    c = next(sib);
+                }
+            }
+            out = filtered(src, out, test, axis, list, work);
+        }
+        Axis::Ancestor | Axis::AncestorOrSelf => {
+            // Each walk up stops at a node already in the image, whose
+            // ancestors are all there too.
+            for s in from.iter_nodes() {
+                scanned += 1;
+                if axis == Axis::AncestorOrSelf {
+                    out.insert(s);
+                }
+                let mut c = doc.parent(s);
+                while let Some(p) = c {
+                    if out.contains(p) {
+                        break;
+                    }
+                    scanned += 1;
+                    out.insert(p);
+                    c = doc.parent(p);
+                }
+            }
+            out = filtered(src, out, test, axis, list, work);
+        }
+        Axis::SelfAxis | Axis::Parent | Axis::Attribute => unreachable!("kept on the sweep"),
+    }
+    charge(work, scanned);
+    Some(out)
+}
+
+/// The members of a walked image that pass the node test: its intersection
+/// with the tag list when there is one, else a check per member.
+fn filtered<S: AxisSource + ?Sized>(
+    src: &S,
+    mut image: NodeBitSet,
+    test: &NodeTest,
+    axis: Axis,
+    list: Option<&[NodeId]>,
+    work: &Cell<u64>,
+) -> NodeBitSet {
+    if list.is_some() {
+        image.intersect_with(&test_set(src, test, axis, work));
+        return image;
+    }
+    if matches!(test, NodeTest::AnyNode) {
+        return image;
+    }
+    let doc = src.document();
+    let mut out = NodeBitSet::empty(image.len);
+    let mut scanned = 0usize;
+    for n in image.iter_nodes() {
+        scanned += 1;
+        if doc.matches_on_axis(n, test, axis) {
+            out.insert(n);
+        }
+    }
+    charge(work, scanned);
+    out
+}
+
+/// Image of a node set under an axis relation, computed in O(|D|) — the
+/// sweep [`step_image`] falls back to.  `order` is the source's
+/// document-order table.
 pub(crate) fn axis_image<S: AxisSource + ?Sized>(
     src: &S,
     order: &[NodeId],
     axis: Axis,
     s: &NodeBitSet,
+    work: &Cell<u64>,
 ) -> NodeBitSet {
     let doc = src.document();
     let mut out = NodeBitSet::empty(s.len);
+    let mut scanned = 0usize;
     match axis {
         Axis::SelfAxis => out = s.clone(),
         Axis::Child => {
             for node in s.iter_nodes() {
+                scanned += 1;
                 let mut c = doc.first_child(node);
                 while let Some(ch) = c {
+                    scanned += 1;
                     out.insert(ch);
                     c = doc.next_sibling(ch);
                 }
@@ -178,6 +462,7 @@ pub(crate) fn axis_image<S: AxisSource + ?Sized>(
         }
         Axis::Parent => {
             for node in s.iter_nodes() {
+                scanned += 1;
                 if let Some(p) = doc.parent(node) {
                     out.insert(p);
                 }
@@ -185,6 +470,7 @@ pub(crate) fn axis_image<S: AxisSource + ?Sized>(
         }
         Axis::Attribute => {
             for node in s.iter_nodes() {
+                scanned += 1;
                 for &a in doc.attributes(node) {
                     out.insert(a);
                 }
@@ -204,6 +490,7 @@ pub(crate) fn axis_image<S: AxisSource + ?Sized>(
                     }
                 }
             }
+            scanned += order.len();
             if axis == Axis::DescendantOrSelf {
                 out.union_with(s);
             }
@@ -218,6 +505,7 @@ pub(crate) fn axis_image<S: AxisSource + ?Sized>(
                     }
                 }
             }
+            scanned += order.len();
             if axis == Axis::AncestorOrSelf {
                 out.union_with(s);
             }
@@ -231,6 +519,7 @@ pub(crate) fn axis_image<S: AxisSource + ?Sized>(
                     }
                 }
             }
+            scanned += order.len();
         }
         Axis::PrecedingSibling => {
             for &node in order.iter().rev() {
@@ -240,6 +529,7 @@ pub(crate) fn axis_image<S: AxisSource + ?Sized>(
                     }
                 }
             }
+            scanned += order.len();
         }
         Axis::Following => {
             // v is following of some u ∈ S iff pre(v) >= min over u of
@@ -249,6 +539,7 @@ pub(crate) fn axis_image<S: AxisSource + ?Sized>(
             // links.
             let mut min_start = u32::MAX;
             for u in s.iter_nodes() {
+                scanned += 1;
                 min_start = min_start.min(subtree_end_of(src, owner_element(doc, u)));
             }
             if min_start != u32::MAX {
@@ -260,6 +551,7 @@ pub(crate) fn axis_image<S: AxisSource + ?Sized>(
                         out.insert(node);
                     }
                 }
+                scanned += order.len() - lo;
             }
         }
         Axis::Preceding => {
@@ -269,6 +561,7 @@ pub(crate) fn axis_image<S: AxisSource + ?Sized>(
             // sweep is one range scan of the document order.
             let mut max_pre = None;
             for u in s.iter_nodes() {
+                scanned += 1;
                 let pre = doc.pre(owner_element(doc, u));
                 max_pre = Some(max_pre.map_or(pre, |m: u32| m.max(pre)));
             }
@@ -282,23 +575,28 @@ pub(crate) fn axis_image<S: AxisSource + ?Sized>(
                         out.insert(node);
                     }
                 }
+                scanned += hi;
             }
         }
     }
+    charge(work, scanned);
     out
 }
 
 /// Pre-image of a node set under an axis relation — the nodes from which
-/// `axis` reaches a member of `t` — in O(|D|).  It is the image under
-/// [`Axis::inverse`] except around attribute nodes, where the axes are not
-/// symmetric: an attribute has a parent, ancestors and its owner's
-/// `following`/`preceding` nodes, yet is nobody's child, descendant, sibling,
-/// `following` or `preceding` node.
+/// `axis` reaches a member of `t`.  It is the image under [`Axis::inverse`]
+/// (a staircase step where the source allows one: the pre-image of
+/// `descendant` is a pruned walk up from `t`, that of a sibling axis the
+/// reverse sibling walk) except around attribute nodes, where the axes are
+/// not symmetric: an attribute has a parent, ancestors and its owner's
+/// `following`/`preceding` nodes, yet is nobody's child, descendant,
+/// sibling, `following` or `preceding` node.
 pub(crate) fn axis_preimage<S: AxisSource + ?Sized>(
     src: &S,
     order: &[NodeId],
     axis: Axis,
     t: &NodeBitSet,
+    work: &Cell<u64>,
 ) -> NodeBitSet {
     if axis == Axis::SelfAxis {
         return t.clone();
@@ -308,12 +606,16 @@ pub(crate) fn axis_preimage<S: AxisSource + ?Sized>(
     // every other kind through the rest (the self half of the `-or-self`
     // axes is added at the end).
     let mut reached = NodeBitSet::empty(t.len);
+    let mut scanned = 0usize;
     for node in t.iter_nodes() {
+        scanned += 1;
         if doc.kind(node).is_attribute() == axis.principal_is_attribute() {
             reached.insert(node);
         }
     }
-    let mut out = axis_image(src, order, axis.inverse(), &reached);
+    let inverse = axis.inverse();
+    let mut out = staircase(src, order, inverse, &NodeTest::AnyNode, &reached, work)
+        .unwrap_or_else(|| axis_image(src, order, inverse, &reached, work));
     // An attribute node departs along these axes as its owner element does
     // (`parent` and `ancestor` arrive at the owner itself first).
     let owners = match axis {
@@ -326,6 +628,7 @@ pub(crate) fn axis_preimage<S: AxisSource + ?Sized>(
         _ => None,
     };
     for owner in owners.iter().flat_map(NodeBitSet::iter_nodes) {
+        scanned += 1;
         for &a in doc.attributes(owner) {
             out.insert(a);
         }
@@ -333,6 +636,7 @@ pub(crate) fn axis_preimage<S: AxisSource + ?Sized>(
     if matches!(axis, Axis::DescendantOrSelf | Axis::AncestorOrSelf) {
         out.union_with(t);
     }
+    charge(work, scanned);
     out
 }
 
@@ -434,12 +738,10 @@ mod tests {
         let doc = parse_xml(xml).unwrap();
         let prepared = PreparedDocument::new(doc.clone());
         let nodes: Vec<NodeId> = doc.all_nodes().collect();
-        fn members(set: &NodeBitSet) -> Vec<NodeId> {
-            set.iter_nodes().collect()
-        }
         fn check<S: AxisSource + ?Sized>(src: &S, nodes: &[NodeId]) {
             let doc = src.document();
             let order = src.document_order();
+            let work = Cell::new(0);
             let axes = Axis::CORE.into_iter().chain([Axis::Attribute]);
             for axis in axes {
                 for &n in nodes {
@@ -447,9 +749,21 @@ mod tests {
                     let mut reached = doc.axis_nodes(n, axis);
                     reached.sort_by_key(|m| m.index());
                     assert_eq!(
-                        members(&axis_image(src, &order, axis, &one)),
+                        members(&axis_image(src, &order, axis, &one, &work)),
                         reached,
                         "{axis} from {n:?}"
+                    );
+                    assert_eq!(
+                        members(&step_image(
+                            src,
+                            &order,
+                            axis,
+                            &NodeTest::AnyNode,
+                            &one,
+                            &work
+                        )),
+                        reached,
+                        "{axis}::node() from {n:?}"
                     );
                     let reaching: Vec<NodeId> = nodes
                         .iter()
@@ -457,7 +771,7 @@ mod tests {
                         .filter(|&m| doc.axis_nodes(m, axis).contains(&n))
                         .collect();
                     assert_eq!(
-                        members(&axis_preimage(src, &order, axis, &one)),
+                        members(&axis_preimage(src, &order, axis, &one, &work)),
                         reaching,
                         "{axis} to {n:?}"
                     );
@@ -470,7 +784,7 @@ mod tests {
                     .collect();
                 let all = NodeBitSet::full(doc.len());
                 assert_eq!(
-                    members(&axis_preimage(src, &order, axis, &all)),
+                    members(&axis_preimage(src, &order, axis, &all, &work)),
                     departing,
                     "{axis} to anything"
                 );
@@ -478,6 +792,168 @@ mod tests {
         }
         check(&doc, &nodes);
         check(&prepared, &nodes);
+    }
+
+    /// The context sets the differential check steps from: the root, a
+    /// nested pair (an element and one of its descendants), every
+    /// attribute and text node, a run of siblings, nothing, everything.
+    fn context_sets(doc: &Document) -> Vec<(&'static str, Vec<NodeId>)> {
+        let all: Vec<NodeId> = doc.document_order();
+        let elements: Vec<NodeId> = all
+            .iter()
+            .copied()
+            .filter(|&n| doc.kind(n).is_element())
+            .collect();
+        let outer = elements
+            .iter()
+            .copied()
+            .find(|&e| doc.axis_nodes(e, Axis::Descendant).len() > 2)
+            .expect("an element with descendants");
+        let inner = *doc
+            .axis_nodes(outer, Axis::Descendant)
+            .iter()
+            .rev()
+            .find(|&&d| doc.kind(d).is_element())
+            .expect("an element descendant");
+        let widest = elements
+            .iter()
+            .copied()
+            .max_by_key(|&e| doc.axis_nodes(e, Axis::Child).len())
+            .unwrap();
+        let leaves = all
+            .iter()
+            .copied()
+            .filter(|&n| doc.kind(n).is_attribute() || doc.kind(n).is_text())
+            .collect();
+        vec![
+            ("root", vec![doc.root()]),
+            ("nested pair", vec![inner, outer]),
+            ("attributes and text", leaves),
+            ("siblings", doc.axis_nodes(widest, Axis::Child)),
+            ("empty", Vec::new()),
+            ("all", all),
+        ]
+    }
+
+    /// `axis::test` from every context set, three ways: the staircase on
+    /// the prepared document, the sweep on the same document behind a mask
+    /// that hides its tag lists and intervals, and the reference evaluator
+    /// stepping from each context node alone.  The pre-images agree across
+    /// the two paths as well.
+    fn check_steps_against_the_sweep_and_the_reference(prepared: &PreparedDocument) {
+        use crate::context::Context;
+        use crate::reference::ReferenceEvaluator;
+        use xpeval_dom::{CapabilityMask, SourceCapabilities};
+        use xpeval_syntax::parse_query;
+
+        let doc = prepared.document();
+        let masked = CapabilityMask::new(
+            prepared.clone(),
+            SourceCapabilities {
+                tag_index: false,
+                intervals: false,
+                ..SourceCapabilities::FULL
+            },
+        );
+        assert!(!masked.capabilities().intervals && masked.elements_named("b").is_none());
+        let order = prepared.order();
+        let b = prepared.tag_id("b").expect("the document has `b` elements");
+        let tests = [
+            ("b", NodeTest::Name("b".into())),
+            (
+                "b",
+                NodeTest::Resolved {
+                    name: "b".into(),
+                    id: Some(b),
+                },
+            ),
+            (
+                "zz",
+                NodeTest::Resolved {
+                    name: "zz".into(),
+                    id: None,
+                },
+            ),
+            ("*", NodeTest::Star),
+            ("node()", NodeTest::AnyNode),
+            ("text()", NodeTest::Text),
+        ];
+        let work = Cell::new(0);
+        let mut reference = ReferenceEvaluator::new(doc);
+        for (label, contexts) in context_sets(doc) {
+            let mut from = NodeBitSet::empty(doc.len());
+            for &n in &contexts {
+                from.insert(n);
+            }
+            for axis in Axis::CORE.into_iter().chain([Axis::Attribute]) {
+                for (spelled, test) in &tests {
+                    let step = parse_query(&format!("{axis}::{spelled}")).unwrap();
+                    let mut expected = Vec::new();
+                    for &n in &contexts {
+                        let ctx = Context::new(n, 1, 1);
+                        let value = reference.evaluate_with_context(&step, ctx).unwrap();
+                        expected.extend(value.into_nodes().unwrap());
+                    }
+                    expected.sort_by_key(|m| m.index());
+                    expected.dedup();
+                    let staircase = step_image(prepared, order, axis, test, &from, &work);
+                    let swept = step_image(&masked, order, axis, test, &from, &work);
+                    assert_eq!(
+                        members(&staircase),
+                        expected,
+                        "{axis}::{spelled} from {label}"
+                    );
+                    assert_eq!(
+                        members(&swept),
+                        expected,
+                        "{axis}::{spelled} from {label}, swept"
+                    );
+                }
+                assert_eq!(
+                    axis_preimage(prepared, order, axis, &from, &work),
+                    axis_preimage(&masked, order, axis, &from, &work),
+                    "{axis} to {label}"
+                );
+            }
+        }
+    }
+
+    fn members(set: &NodeBitSet) -> Vec<NodeId> {
+        set.iter_nodes().collect()
+    }
+
+    #[test]
+    fn staircase_steps_agree_with_the_sweep_and_the_reference() {
+        let xml = r#"<r x="1"><a x="1" y="2"><b x="2">t<c/></b><b/>u<a><b/>s</a></a><a><b><a z="7"/></b><d/>w<b>q</b></a>v<b/></r>"#;
+        let mut prepared = PreparedDocument::new(parse_xml(xml).unwrap());
+        check_steps_against_the_sweep_and_the_reference(&prepared);
+
+        // The same after in-place edits, whose ordering keys are gapped and
+        // whose arena order is no longer document order: an inserted
+        // subtree, a removal, and an insert into the slots it freed.
+        let fragment = parse_xml(r#"<f><b k="1"><c>x</c><b/></b>y<e/></f>"#).unwrap();
+        let first_a = prepared.elements_named("a")[0];
+        prepared.insert_subtree(first_a, 1, &fragment).unwrap();
+        check_steps_against_the_sweep_and_the_reference(&prepared);
+        let removed = prepared.elements_named("a")[1];
+        prepared.remove_subtree(removed).unwrap();
+        check_steps_against_the_sweep_and_the_reference(&prepared);
+        let len = prepared.node_count();
+        let root_element = prepared.elements_named("r")[0];
+        prepared.insert_subtree(root_element, 0, &fragment).unwrap();
+        let inserted = fragment.len() - 1;
+        assert!(
+            prepared.node_count() < len + inserted,
+            "the insert reuses freed slots"
+        );
+        assert!(
+            !prepared
+                .order()
+                .windows(2)
+                .all(|w| w[0].index() < w[1].index()),
+            "arena order differs from document order"
+        );
+        check_steps_against_the_sweep_and_the_reference(&prepared);
     }
 
     #[test]

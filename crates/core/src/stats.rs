@@ -17,6 +17,7 @@ use xpeval_obs::{Field, FieldValue, MetricSource};
 /// | `step_context_evaluations` | `(step, node)` applications | `(step, node occurrence)` applications | step applications (all contexts at once) | `(step, node)` candidate enumerations | Σ worker enumerations |
 /// | `max_intermediate_list` | 0 | largest intermediate node list | 0 | 0 | 0 |
 /// | `table_entries` | final context-value-table size | 0 | 0 | 0 | 0 |
+/// | `work` | nodes and list entries its `sat` sets scanned | 0 | nodes and list entries its set functions scanned | 0 | 0 |
 ///
 /// Every strategy counts its work, so the `EvalStats` in
 /// [`crate::QueryOutput`] is never all-zero for a non-trivial query: the
@@ -46,6 +47,14 @@ pub struct EvalStats {
     /// storage backend materializes lazily (0 for eager backends).  A gauge,
     /// not a counter: [`EvalStats::merged`] takes the maximum.
     pub nodes_materialized: u64,
+    /// Nodes and list entries the set-at-a-time functions scanned: axis
+    /// images and pre-images, node-test sets, `sat` comparisons.  Unlike
+    /// `step_context_evaluations`, which counts one per step whatever the
+    /// step visits, this grows with what a step reads, so a test can tell
+    /// an O(|D|) sweep from an O(|L|) tag-list read without a clock.
+    /// Bitset-wide operations (union, complement, allocation) are not
+    /// counted.
+    pub work: u64,
 }
 
 impl EvalStats {
@@ -60,6 +69,7 @@ impl EvalStats {
             max_intermediate_list: self.max_intermediate_list.max(other.max_intermediate_list),
             table_entries: self.table_entries.max(other.table_entries),
             nodes_materialized: self.nodes_materialized.max(other.nodes_materialized),
+            work: self.work + other.work,
         }
     }
 }
@@ -89,6 +99,7 @@ impl MetricSource for EvalStats {
                 "nodes_materialized",
                 FieldValue::Gauge(self.nodes_materialized as i64),
             ),
+            Field::new("work", FieldValue::Counter(self.work)),
         ]
     }
 }
@@ -96,7 +107,7 @@ impl MetricSource for EvalStats {
 impl std::fmt::Display for EvalStats {
     /// One-line summary shared with [`MetricSource::summary_line`], e.g.
     /// `evaluations 41, cache_hits 12, step_contexts 80, max_list 0,
-    /// table_entries 41, nodes_materialized 0`.
+    /// table_entries 41, nodes_materialized 0, work 0`.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(&self.summary_line())
     }
@@ -128,6 +139,7 @@ mod tests {
             max_intermediate_list: 7,
             table_entries: 4,
             nodes_materialized: 100,
+            work: 40,
         };
         let b = EvalStats {
             evaluations: 2,
@@ -136,6 +148,7 @@ mod tests {
             max_intermediate_list: 3,
             table_entries: 9,
             nodes_materialized: 60,
+            work: 2,
         };
         let m = a + b;
         assert_eq!(m.evaluations, 5);
@@ -144,6 +157,7 @@ mod tests {
         assert_eq!(m.max_intermediate_list, 7);
         assert_eq!(m.table_entries, 9);
         assert_eq!(m.nodes_materialized, 100);
+        assert_eq!(m.work, 42);
         let mut c = a;
         c += b;
         assert_eq!(c, m);

@@ -15,6 +15,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use xpeval::dom::serialize;
 use xpeval::engine::reference::ReferenceEvaluator;
 use xpeval::prelude::*;
 use xpeval::workloads::{
@@ -263,5 +264,62 @@ fn column_predicates_make_no_table_entry_per_candidate() {
             let expected = ReferenceEvaluator::new(&doc).evaluate(plan.expr()).unwrap();
             assert_eq!(out.value, expected, "{query} at {items} items");
         }
+    }
+}
+
+/// Core XPath steps the linear machine answers from the tag lists and
+/// subtree intervals of a prepared document.
+const STAIRCASE_QUERIES: [&str; 3] = [
+    "/descendant::seller/following::bid",
+    "//item[bid]/name",
+    "//seller/following-sibling::bid/parent::item",
+];
+
+/// `doc` with `factor` times its node count added in subtrees that no
+/// staircase query names, half before its content and half after.
+fn padded(doc: &Document, factor: usize) -> Document {
+    // Five nodes: two elements, an attribute, a text node, an element.
+    let pad = r#"<archive><entry note="n">old</entry><entry/></archive>"#;
+    let half = pad.repeat(factor * doc.len() / 5 / 2);
+    let xml = serialize(doc);
+    let open = xml.find('>').unwrap() + 1;
+    let close = xml.rfind("</").unwrap();
+    let padded = format!(
+        "{}{half}{}{half}{}",
+        &xml[..open],
+        &xml[open..close],
+        &xml[close..]
+    );
+    parse_xml(&padded).unwrap()
+}
+
+#[test]
+fn staircase_steps_read_the_tag_lists_not_the_document() {
+    // Padding the document with 4x unrelated nodes leaves the linear
+    // machine's scans on a prepared document where they were: they read
+    // the named tags' lists and the contexts.  On a raw document every step
+    // sweeps the document, so the same counter grows with it.
+    let doc = auction_site_document(&mut StdRng::seed_from_u64(26), 120);
+    let big = padded(&doc, 4);
+    assert!(big.len() >= 4 * doc.len(), "{} vs {}", big.len(), doc.len());
+    let prepared = [&doc, &big].map(|d| PreparedDocument::new(d.clone()));
+    for query in STAIRCASE_QUERIES {
+        let plan = CompiledQuery::compile(query)
+            .unwrap()
+            .with_strategy(EvalStrategy::CoreXPathLinear);
+        let on_prepared = [0, 1].map(|i| plan.run_prepared(&prepared[i]).unwrap());
+        let on_raw = [&doc, &big].map(|d| plan.run(d).unwrap());
+        for (fast, slow) in on_prepared.iter().zip(&on_raw) {
+            assert_eq!(fast.value, slow.value, "{query}");
+        }
+        let expected = ReferenceEvaluator::new(&big).evaluate(plan.expr()).unwrap();
+        assert_eq!(on_raw[1].value, expected, "{query}");
+        let growth = |runs: &[QueryOutput; 2]| {
+            assert!(runs[0].stats.work > 0, "{query}: {:?}", runs[0].stats);
+            runs[1].stats.work as f64 / runs[0].stats.work as f64
+        };
+        let (fast, slow) = (growth(&on_prepared), growth(&on_raw));
+        assert!(fast <= 1.1, "{query}: prepared work grew {fast:.2}x");
+        assert!(slow >= 3.0, "{query}: raw work grew only {slow:.2}x");
     }
 }
