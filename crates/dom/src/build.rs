@@ -7,8 +7,14 @@
 //! their neighbours without renumbering the document.
 
 use crate::node::{Document, NodeData, NodeId, NodeKind, KEY_STRIDE};
+use std::sync::Arc;
 
 /// Builds a [`Document`] by opening and closing elements like a SAX writer.
+///
+/// Names, text and values are taken as anything that converts into an
+/// `Arc<str>`: a `&str` or `String` is copied into a fresh allocation, an
+/// `Arc<str>` is shared as it is (the XML parser passes each distinct name
+/// that way, so a document holds one copy of every name).
 ///
 /// ```
 /// use xpeval_dom::DocumentBuilder;
@@ -24,7 +30,27 @@ use crate::node::{Document, NodeData, NodeId, NodeKind, KEY_STRIDE};
 pub struct DocumentBuilder {
     doc: Document,
     /// Stack of currently open elements; the bottom entry is the root.
-    open: Vec<NodeId>,
+    open: Vec<OpenNode>,
+}
+
+/// An open element and the child links it gets when it closes.  Keeping
+/// them here, not in the arena, saves two arena writes per child: the
+/// parent's record may already sit in a sealed (shared) chunk.
+#[derive(Debug)]
+struct OpenNode {
+    id: NodeId,
+    first_child: Option<NodeId>,
+    last_child: Option<NodeId>,
+}
+
+impl OpenNode {
+    fn new(id: NodeId) -> Self {
+        OpenNode {
+            id,
+            first_child: None,
+            last_child: None,
+        }
+    }
 }
 
 impl Default for DocumentBuilder {
@@ -40,36 +66,39 @@ impl DocumentBuilder {
         let root = doc.root();
         DocumentBuilder {
             doc,
-            open: vec![root],
+            open: vec![OpenNode::new(root)],
         }
-    }
-
-    fn current(&self) -> NodeId {
-        *self.open.last().expect("builder root is never popped")
     }
 
     fn push_node(&mut self, kind: NodeKind) -> NodeId {
-        let parent = self.current();
+        let parent = self.open.last_mut().expect("builder root is never popped");
         let mut data = NodeData::new(kind);
-        data.parent = Some(parent);
-        data.prev_sibling = self.doc.data(parent).last_child;
+        data.parent = Some(parent.id);
+        data.prev_sibling = parent.last_child;
         let id = self.doc.append(data);
-        if let Some(prev) = self.doc.data(id).prev_sibling {
-            self.doc.data_mut(prev).next_sibling = Some(id);
-        } else {
-            self.doc.data_mut(parent).first_child = Some(id);
+        match parent.last_child {
+            Some(prev) => self.doc.data_mut(prev).next_sibling = Some(id),
+            None => parent.first_child = Some(id),
         }
-        self.doc.data_mut(parent).last_child = Some(id);
+        parent.last_child = Some(id);
         id
+    }
+
+    /// Pops the innermost open node and writes its child links.
+    fn pop_open(&mut self) {
+        let node = self.open.pop().expect("callers pop only a non-empty stack");
+        if node.first_child.is_some() {
+            let data = self.doc.data_mut(node.id);
+            data.first_child = node.first_child;
+            data.last_child = node.last_child;
+        }
     }
 
     /// Opens a new element as a child of the currently open element.
     /// Returns the id of the new element.
-    pub fn open_element(&mut self, name: impl Into<String>) -> NodeId {
-        let id = self.push_node(NodeKind::Element {
-            name: name.into().into(),
-        });
-        self.open.push(id);
+    pub fn open_element(&mut self, name: impl Into<Arc<str>>) -> NodeId {
+        let id = self.push_node(NodeKind::Element { name: name.into() });
+        self.open.push(OpenNode::new(id));
         id
     }
 
@@ -82,33 +111,31 @@ impl DocumentBuilder {
             self.open.len() > 1,
             "close_element called with no open element"
         );
-        self.open.pop();
+        self.pop_open();
     }
 
     /// Appends an empty element (open followed by close). Returns its id.
-    pub fn leaf_element(&mut self, name: impl Into<String>) -> NodeId {
+    pub fn leaf_element(&mut self, name: impl Into<Arc<str>>) -> NodeId {
         let id = self.open_element(name);
         self.close_element();
         id
     }
 
     /// Appends a text node to the currently open element.
-    pub fn text(&mut self, text: impl Into<String>) -> NodeId {
-        self.push_node(NodeKind::Text {
-            text: text.into().into(),
-        })
+    pub fn text(&mut self, text: impl Into<Arc<str>>) -> NodeId {
+        self.push_node(NodeKind::Text { text: text.into() })
     }
 
     /// Adds an attribute to the currently open element.
     ///
     /// # Panics
     /// Panics if no element is open (attributes cannot be added to the root).
-    pub fn attribute(&mut self, name: impl Into<String>, value: impl Into<String>) -> NodeId {
+    pub fn attribute(&mut self, name: impl Into<Arc<str>>, value: impl Into<Arc<str>>) -> NodeId {
         assert!(self.open.len() > 1, "attribute called with no open element");
-        let owner = self.current();
+        let owner = self.open.last().expect("checked above").id;
         let mut data = NodeData::new(NodeKind::Attribute {
-            name: name.into().into(),
-            value: value.into().into(),
+            name: name.into(),
+            value: value.into(),
         });
         data.parent = Some(owner);
         let id = self.doc.append(data);
@@ -129,8 +156,8 @@ impl DocumentBuilder {
     /// Finishes the document: closes any still-open elements and assigns
     /// ordering keys (pre/post) and depth to every node.
     pub fn finish(mut self) -> Document {
-        while self.open.len() > 1 {
-            self.open.pop();
+        while !self.open.is_empty() {
+            self.pop_open();
         }
         finalize(&mut self.doc);
         self.doc
@@ -190,8 +217,8 @@ pub(crate) fn assign_subtree_keys(
                 k.depth = depth;
             }
             key += stride;
-            let attrs: Vec<NodeId> = doc.data(node).attrs().to_vec();
-            for a in attrs {
+            for i in 0..doc.data(node).attrs().len() {
+                let a = doc.data(node).attrs()[i];
                 let k = doc.keys_mut(a);
                 k.pre = key;
                 k.post = key;
@@ -199,15 +226,12 @@ pub(crate) fn assign_subtree_keys(
                 key += stride;
             }
             stack.push((node, depth, false));
-            // Push children in reverse so the first child is processed first.
-            let mut children = Vec::new();
-            let mut c = doc.data(node).first_child;
+            // Push children last to first so the first child is processed
+            // first.
+            let mut c = doc.data(node).last_child;
             while let Some(ch) = c {
-                children.push(ch);
-                c = doc.data(ch).next_sibling;
-            }
-            for &ch in children.iter().rev() {
                 stack.push((ch, depth + 1, true));
+                c = doc.data(ch).prev_sibling;
             }
         } else {
             doc.keys_mut(node).post = key;

@@ -21,7 +21,8 @@
 //!   following/preceding complements, sibling-position tables) behind the
 //!   [`AxisSource`] trait that all evaluators consume,
 //! * a programmatic [`DocumentBuilder`], a small well-formed XML parser
-//!   ([`parse_xml`]) and a serializer.
+//!   ([`parse_xml`], a sink of the iterative scanner [`parse::scan_xml`]
+//!   that the lazy backend shares) and a serializer.
 //!
 //! ## Example
 //!

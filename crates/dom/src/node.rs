@@ -63,7 +63,11 @@ impl fmt::Display for NodeId {
 /// Strings are held as `Arc<str>` so that cloning a [`Document`] — the
 /// copy-on-write step behind every in-place mutation — bumps reference
 /// counts instead of reallocating every name, text and attribute value in
-/// the tree.
+/// the tree.  Element and attribute names are shared per document:
+/// [`crate::parse_xml`] and snapshot decoding
+/// ([`crate::RawColumns::into_prepared`]) alike allocate each distinct
+/// name once and hand every node that carries it a clone of that `Arc`.
+/// Texts and attribute values get one allocation each.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum NodeKind {
     /// The conceptual root node of the document (parent of the document

@@ -17,6 +17,7 @@ use crate::node::{Document, NodeId};
 use crate::parse::{parse_into, XmlParseError};
 use crate::prepared::PreparedDocument;
 use std::fmt;
+use std::sync::Arc;
 
 /// Error produced while a [`TreeProvider`] feeds a [`TreeBuilder`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,7 +93,7 @@ impl TreeBuilder {
     }
 
     /// Opens a new element as a child of the currently open element.
-    pub fn open_element(&mut self, name: impl Into<String>) -> NodeId {
+    pub fn open_element(&mut self, name: impl Into<Arc<str>>) -> NodeId {
         self.inner.open_element(name)
     }
 
@@ -105,12 +106,12 @@ impl TreeBuilder {
     }
 
     /// Appends an empty element (open followed by close). Returns its id.
-    pub fn leaf_element(&mut self, name: impl Into<String>) -> NodeId {
+    pub fn leaf_element(&mut self, name: impl Into<Arc<str>>) -> NodeId {
         self.inner.leaf_element(name)
     }
 
     /// Appends a text node to the currently open element.
-    pub fn text(&mut self, text: impl Into<String>) -> NodeId {
+    pub fn text(&mut self, text: impl Into<Arc<str>>) -> NodeId {
         self.inner.text(text)
     }
 
@@ -118,7 +119,7 @@ impl TreeBuilder {
     ///
     /// # Panics
     /// Panics if no element is open (attributes cannot be added to the root).
-    pub fn attribute(&mut self, name: impl Into<String>, value: impl Into<String>) -> NodeId {
+    pub fn attribute(&mut self, name: impl Into<Arc<str>>, value: impl Into<Arc<str>>) -> NodeId {
         self.inner.attribute(name, value)
     }
 
