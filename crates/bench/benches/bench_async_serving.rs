@@ -161,10 +161,10 @@ fn write_prometheus(path: &Path, telemetry: &Telemetry) {
 }
 
 fn bench_async_serving(c: &mut Criterion) {
-    let doc = Arc::new(auction_site_document(&mut StdRng::seed_from_u64(42), 600));
+    let doc = auction_site_document(&mut StdRng::seed_from_u64(42), 600);
+    let prepared = Arc::new(PreparedDocument::new(doc));
     let telemetry = Arc::new(Telemetry::new());
     let engine = serving_engine(&telemetry);
-    let prepared = engine.prepare_keyed(1, &doc);
 
     // Sanity: the pool computes exactly what the loop computes.
     let reference = run_sync(&engine, &prepared, TOTAL);

@@ -87,7 +87,6 @@ fn bench_document_index(c: &mut Criterion) {
     });
 
     let engine = Engine::builder().build();
-    let engine_prepared = engine.prepare_keyed(1, &doc);
     for q in QUERIES {
         engine.evaluate_str(&doc, q).unwrap(); // warm the plan cache
     }
@@ -104,7 +103,7 @@ fn bench_document_index(c: &mut Criterion) {
             QUERIES
                 .map(|q| {
                     engine
-                        .evaluate_str_prepared(&engine_prepared, q)
+                        .evaluate_str_prepared(&prepared, q)
                         .unwrap()
                         .expect_nodes()
                         .len()

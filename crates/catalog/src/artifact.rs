@@ -413,9 +413,9 @@ struct ArtifactEntry {
 }
 
 /// The bounded LRU cache of [`PlanArtifact`]s, keyed by
-/// (query, [`ArtifactScope`], backend kind) — the catalog's third cache,
-/// next to the engine's plan cache (per query) and document cache (per
-/// document).
+/// (query, [`ArtifactScope`], backend kind) — the per-(query × document)
+/// layer between the engine's plan cache (per query) and the catalog's
+/// own prepared documents (per document).
 ///
 /// The key is split in two levels — an outer `(scope, kind)` map over
 /// inner per-query maps — so the hot-path lookup borrows the query

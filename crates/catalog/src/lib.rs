@@ -32,9 +32,10 @@
 //!   [`Catalog::insert_lazy`] stores a tokenized document that
 //!   materializes subtree extents on demand (each query grows the
 //!   resident wave; `EvalStats::nodes_materialized` witnesses how little
-//!   a targeted query parsed), [`Catalog::insert_snapshot`] pins a
-//!   zero-copy `PreparedSnapshot`, and [`Catalog::insert_tree`] accepts
-//!   any non-XML `TreeProvider` (e.g. JSON).  Artifacts are additionally
+//!   a targeted query parsed), [`Catalog::insert_snapshot`] stores the
+//!   decode of a zero-copy `PreparedSnapshot`, and
+//!   [`Catalog::insert_tree`] accepts any non-XML `TreeProvider` (e.g.
+//!   JSON).  Artifacts are additionally
 //!   keyed by [`BackendKind`]; [`CatalogBuilder::node_budget`] bounds
 //!   total *resident* nodes, demoting lazy entries back to their spine
 //!   before evicting anyone.
@@ -310,23 +311,17 @@ mod tests {
     }
 
     #[test]
-    fn catalogs_sharing_an_engine_do_not_collide_on_keyed_indexes() {
+    fn catalogs_sharing_an_engine_mint_distinct_ids() {
         // DocIds come from one process-global counter, so two catalogs on
-        // one engine can never collide on a stable key — and removing
-        // from one catalog must not discard the other's live index.
+        // one engine never hand out the same id — and removing from one
+        // catalog leaves the other's document answerable.
         let engine = xpeval_core::Engine::builder().build();
         let a = Catalog::builder().engine(engine.clone()).build();
-        let b = Catalog::builder().engine(engine.clone()).build();
+        let b = Catalog::builder().engine(engine).build();
         let id_a = a.insert_xml("d", "<r><x/></r>").unwrap();
         let id_b = b.insert_xml("d", "<r/>").unwrap();
         assert_ne!(id_a, id_b, "ids are process-unique");
-        assert_eq!(engine.document_cache_stats().len, 2, "no collision");
         assert!(a.remove("d"));
-        assert_eq!(
-            engine.document_cache_stats().len,
-            1,
-            "b's index must survive a's removal"
-        );
         assert_eq!(
             b.evaluate_on("d", "count(//*)").unwrap().value,
             Value::Number(1.0)
@@ -334,43 +329,110 @@ mod tests {
     }
 
     #[test]
-    fn insert_prepared_replacement_drops_the_stale_keyed_index() {
+    fn retired_documents_are_freed() {
+        use std::sync::Weak;
         use xpeval_dom::PreparedDocument;
+        // The catalog is the only owner of a prepared document: once its
+        // entry is replaced, removed or evicted, nothing keeps it alive.
+        // Each document is evaluated first so that it has a plan artifact.
+        fn held(catalog: &Catalog, name: &str) -> Weak<PreparedDocument> {
+            catalog.evaluate_on(name, "//x").unwrap();
+            Arc::downgrade(&catalog.get(name).unwrap())
+        }
+
         let catalog = Catalog::new();
-        // v1 enters through the engine cache (insert_document path)...
         catalog.insert_xml("d", "<r><x/></r>").unwrap();
-        assert_eq!(catalog.engine().document_cache_stats().len, 1);
-        // ...and a replacement that bypasses the engine cache must not
-        // leave v1's index pinned under the id's stable key.
-        let v2 = Arc::new(PreparedDocument::new(parse_xml("<r/>").unwrap()));
-        catalog.insert_prepared("d", v2);
-        assert_eq!(catalog.engine().document_cache_stats().len, 0);
-        assert_eq!(catalog.generation("d"), Some(2));
+        let v1 = held(&catalog, "d");
+        catalog.insert_xml("d", "<r><x/><x/></r>").unwrap();
+        assert!(v1.upgrade().is_none(), "replaced through insert_xml");
+        let v2 = held(&catalog, "d");
+        let v3 = Arc::new(PreparedDocument::new(parse_xml("<r/>").unwrap()));
+        catalog.insert_prepared("d", v3);
+        assert!(v2.upgrade().is_none(), "replaced through insert_prepared");
+        assert_eq!(catalog.generation("d"), Some(3));
         assert_eq!(
             catalog.evaluate_on("d", "count(//x)").unwrap().value,
             Value::Number(0.0)
         );
-    }
 
-    #[test]
-    fn retiring_a_document_releases_its_keyed_index() {
-        // remove() must drop the engine document-cache entry keyed by the
-        // retired DocId — otherwise the dead prepared index stays pinned
-        // until LRU pressure happens to find it.
-        let catalog = Catalog::new();
-        catalog.insert_xml("a", "<r><x/></r>").unwrap();
-        catalog.insert_xml("b", "<r/>").unwrap();
-        assert_eq!(catalog.engine().document_cache_stats().len, 2);
-        assert!(catalog.remove("a"));
-        assert_eq!(catalog.engine().document_cache_stats().len, 1);
+        let v3 = held(&catalog, "d");
+        assert!(catalog.remove("d"));
+        assert!(v3.upgrade().is_none(), "removed");
 
-        // Same for LRU eviction out of a bounded catalog.
         let catalog = Catalog::builder().capacity(2).build();
-        catalog.insert_xml("a", "<a/>").unwrap();
+        catalog.insert_xml("a", "<a><x/></a>").unwrap();
+        let a = held(&catalog, "a");
         catalog.insert_xml("b", "<b/>").unwrap();
         catalog.insert_xml("c", "<c/>").unwrap(); // evicts a
         assert_eq!(catalog.stats().evictions, 1);
-        assert_eq!(catalog.engine().document_cache_stats().len, 2);
+        assert!(a.upgrade().is_none(), "evicted");
+    }
+
+    #[test]
+    fn mutation_frees_the_pre_edit_document() {
+        // An in-place edit publishes a new prepared document; the entry's
+        // previous one is held by nobody afterwards.
+        let catalog = Catalog::new();
+        catalog.insert_xml("d", "<r><x/></r>").unwrap();
+        catalog.evaluate_on("d", "//x").unwrap();
+        let before = Arc::downgrade(&catalog.get("d").unwrap());
+        catalog
+            .mutate_named("d", |live| {
+                let x = live.elements_named("x")[0];
+                live.set_attribute(x, "k", "v").unwrap();
+            })
+            .unwrap();
+        assert!(before.upgrade().is_none(), "pre-edit document still alive");
+        assert_eq!(
+            catalog
+                .evaluate_on("d", "count(//x[@k = 'v'])")
+                .unwrap()
+                .value,
+            Value::Number(1.0)
+        );
+    }
+
+    #[test]
+    fn one_document_under_two_names_is_owned_per_name() {
+        // Each name prepares and owns its own copy of a shared source
+        // document; the source lives exactly as long as some entry does.
+        let doc = Arc::new(parse_xml("<r><x/><x/></r>").unwrap());
+        let source = Arc::downgrade(&doc);
+        let catalog = Catalog::new();
+        catalog.insert_document("a", Arc::clone(&doc));
+        catalog.insert_document("b", doc);
+        let (a, b) = (catalog.get("a").unwrap(), catalog.get("b").unwrap());
+        assert!(!Arc::ptr_eq(&a, &b), "one prepared document per name");
+        assert!(std::ptr::eq(a.document(), b.document()), "no tree copy");
+        drop((a, b));
+        for name in ["a", "b"] {
+            assert_eq!(
+                catalog.evaluate_on(name, "count(//x)").unwrap().value,
+                Value::Number(2.0)
+            );
+        }
+        assert!(catalog.remove("a"));
+        assert!(source.upgrade().is_some(), "\"b\" still holds the source");
+        assert!(catalog.remove("b"));
+        assert!(source.upgrade().is_none(), "the source outlived its names");
+    }
+
+    #[test]
+    fn plans_outlive_the_documents_they_ran_on() {
+        // The engine keeps compiled plans, not documents: a query compiled
+        // for a removed document is a plan-cache hit for its successor.
+        let catalog = Catalog::new();
+        catalog.insert_xml("d", "<r><x/></r>").unwrap();
+        catalog.evaluate_on("d", "count(//x)").unwrap();
+        assert!(catalog.remove("d"));
+        catalog.insert_xml("e", "<r><x/><x/></r>").unwrap();
+        assert_eq!(
+            catalog.evaluate_on("e", "count(//x)").unwrap().value,
+            Value::Number(2.0)
+        );
+        let s = catalog.engine().cache_stats();
+        assert_eq!((s.misses, s.len), (1, 1), "{s:?}");
+        assert!(s.hits >= 1, "{s:?}");
     }
 
     #[test]
@@ -770,6 +832,26 @@ mod tests {
             })
             .unwrap();
         assert_eq!(catalog.backend_kind("d"), Some(BackendKind::Eager));
+    }
+
+    #[test]
+    fn snapshot_entries_do_not_pin_the_byte_image() {
+        use xpeval_backends::PreparedSnapshot;
+        let prepared = xpeval_dom::parse_xml("<r><a/><b/><a/></r>")
+            .unwrap()
+            .prepare();
+        let bytes = PreparedSnapshot::to_bytes(&prepared);
+        let snapshot = Arc::new(PreparedSnapshot::from_bytes(bytes).unwrap());
+        let catalog = Catalog::new();
+        catalog.insert_snapshot("d", &snapshot).unwrap();
+        let image = Arc::downgrade(&snapshot);
+        drop(snapshot);
+        assert!(image.upgrade().is_none(), "the entry keeps no snapshot");
+        assert_eq!(catalog.backend_kind("d"), Some(BackendKind::Snapshot));
+        assert_eq!(
+            catalog.evaluate_on("d", "count(//a)").unwrap().value,
+            Value::Number(2.0)
+        );
     }
 
     #[test]

@@ -42,17 +42,15 @@ use xpeval_live::{LiveDocument, PendingEdits};
 ///
 /// Ids are assigned at first insert, never reused, and survive
 /// replacement: replacing the document behind a name keeps the `DocId` and
-/// bumps the entry's generation instead.  This is the key the engine's
-/// document cache and the artifact cache use — a stable name, unlike the
-/// `Arc`-address keying of the legacy path (see
-/// `xpeval_core::cache::DocKey` for that hazard).
+/// bumps the entry's generation instead.  This is the key the artifact
+/// cache uses — a stable name, unlike the address of the document's `Arc`,
+/// which a re-parse changes and the allocator may recycle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DocId(u64);
 
 impl DocId {
-    /// The raw id value — also the document's stable key in the engine's
-    /// document cache.  Ids are minted from one process-global counter, so
-    /// catalogs sharing an engine never collide on a key.
+    /// The raw id value.  Ids are minted from one process-global counter,
+    /// so they are unique across every catalog in the process.
     #[inline]
     pub fn as_u64(self) -> u64 {
         self.0
@@ -197,11 +195,12 @@ struct SlotCounters {
 ///
 /// `Eager` holds nothing extra (the snapshot *is* the storage — also the
 /// promotion target when a mutation diverges an entry from its backend).
-/// `Lazy` keeps the tokenized source whose resident wave `prepared`
-/// currently is; `spine_nodes` is the node count of the cold spine wave,
-/// so budget enforcement knows whether a demotion would free anything.
-/// `Snapshot` pins the zero-copy byte image the document was decoded
-/// from (shared with every other holder of the snapshot).
+/// Snapshot and tree-provider entries are `Eager` too: their decoded
+/// document is all an entry needs, so a snapshot's byte image is not kept
+/// alive by the catalog.  `Lazy` keeps the tokenized source whose
+/// resident wave `prepared` currently is; `spine_nodes` is the node count
+/// of the cold spine wave, so budget enforcement knows whether a demotion
+/// would free anything.
 #[derive(Clone, Debug)]
 enum Backing {
     Eager,
@@ -209,7 +208,6 @@ enum Backing {
         doc: Arc<LazyDocument>,
         spine_nodes: usize,
     },
-    Snapshot(#[allow(dead_code)] Arc<PreparedSnapshot>),
 }
 
 /// One live entry of the store.  Shared out by `Arc` so evaluation never
@@ -260,9 +258,8 @@ struct DocStore {
 }
 
 /// Mints process-unique [`DocId`]s: one global counter shared by every
-/// catalog, so an id doubles as the document's stable key in a shared
-/// engine's document cache with no per-catalog namespacing, no
-/// truncation, and no collision — ever (2⁶⁴ inserts are unreachable).
+/// catalog, so ids from catalogs sharing an engine or a serving pool never
+/// collide — ever (2⁶⁴ inserts are unreachable).
 fn mint_doc_id() -> DocId {
     static NEXT_DOC_ID: AtomicU64 = AtomicU64::new(1);
     DocId(NEXT_DOC_ID.fetch_add(1, Ordering::Relaxed))
@@ -302,9 +299,8 @@ pub struct CatalogBuilder {
 
 impl CatalogBuilder {
     /// Default configuration: room for 256 documents, 1024 plan
-    /// artifacts, no node budget, and a default [`Engine`] whose document
-    /// cache is sized to the catalog (so stable-keyed prepared indexes do
-    /// not churn).
+    /// artifacts, no node budget, and an [`Engine`] that picks each
+    /// query's strategy itself.
     pub fn new() -> Self {
         CatalogBuilder {
             engine: None,
@@ -314,9 +310,9 @@ impl CatalogBuilder {
         }
     }
 
-    /// Evaluates through this engine (a clone of the handle; plan and
-    /// document caches are shared with the caller and with any serving
-    /// pool built on the same engine).
+    /// Evaluates through this engine (a clone of the handle; the plan
+    /// cache is shared with the caller and with any serving pool built on
+    /// the same engine).
     pub fn engine(mut self, engine: Engine) -> Self {
         self.engine = Some(engine);
         self
@@ -357,14 +353,7 @@ impl CatalogBuilder {
 
     /// Builds the catalog.
     pub fn build(self) -> Catalog {
-        let engine = self.engine.unwrap_or_else(|| {
-            let doc_cache = if self.capacity == 0 {
-                64
-            } else {
-                self.capacity
-            };
-            Engine::builder().document_cache_capacity(doc_cache).build()
-        });
+        let engine = self.engine.unwrap_or_else(|| Engine::builder().build());
         Catalog {
             shared: Arc::new(CatalogShared {
                 engine,
@@ -432,21 +421,6 @@ impl Catalog {
         self.shared.tick.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// The id the name resolves to, or a freshly minted one (the flag
-    /// says which).  Ids are reserved *before* the O(|D|) preparation so
-    /// the prepared index can be cached under its stable key.  The
-    /// reservation is only a hint: [`Catalog::install`] re-resolves under
-    /// its own write lock and discards a reservation the store moved
-    /// under (name inserted, removed or evicted concurrently) — a wasted
-    /// id is never installed, so ids are genuinely never reused.
-    fn reserve_id(&self, name: &str) -> (DocId, bool) {
-        let docs = self.shared.docs.read().unwrap();
-        match docs.by_name.get(name) {
-            Some(&id) => (id, false),
-            None => (mint_doc_id(), true),
-        }
-    }
-
     /// Parses, prepares and stores XML under `name`.  Replaces (generation
     /// bump) if the name exists.
     pub fn insert_xml(&self, name: &str, xml: &str) -> Result<DocId, CatalogError> {
@@ -454,38 +428,16 @@ impl Catalog {
         Ok(self.insert_document(name, doc))
     }
 
-    /// Prepares and stores a document under `name`, routing the index
-    /// build through the engine's document cache keyed by the stable
-    /// [`DocId`] (never by `Arc` address).  Replaces (generation bump) if
-    /// the name exists.
+    /// Prepares and stores a document under `name`.  Replaces (generation
+    /// bump) if the name exists.
     pub fn insert_document(&self, name: &str, doc: impl Into<Arc<Document>>) -> DocId {
-        let doc = doc.into();
-        let (reserved, fresh) = self.reserve_id(name);
-        let prepared = self.shared.engine.prepare_keyed(reserved.as_u64(), &doc);
-        self.install(
-            name,
-            reserved,
-            fresh,
-            true,
-            prepared,
-            BackendKind::Eager,
-            Backing::Eager,
-        )
+        self.insert_prepared(name, Arc::new(PreparedDocument::new(doc)))
     }
 
     /// Stores an already-prepared document under `name`.  Replaces
     /// (generation bump) if the name exists.
     pub fn insert_prepared(&self, name: &str, prepared: Arc<PreparedDocument>) -> DocId {
-        let (reserved, fresh) = self.reserve_id(name);
-        self.install(
-            name,
-            reserved,
-            fresh,
-            false,
-            prepared,
-            BackendKind::Eager,
-            Backing::Eager,
-        )
+        self.install(name, prepared, BackendKind::Eager, Backing::Eager)
     }
 
     /// Tokenizes `xml` into a [`LazyDocument`] and stores it under `name`
@@ -498,12 +450,8 @@ impl Catalog {
         let lazy = Arc::new(LazyDocument::new(xml)?);
         let spine = lazy.demote_to_spine()?;
         let spine_nodes = spine.node_count();
-        let (reserved, fresh) = self.reserve_id(name);
         Ok(self.install(
             name,
-            reserved,
-            fresh,
-            false,
             spine,
             BackendKind::Lazy,
             Backing::Lazy {
@@ -514,9 +462,10 @@ impl Catalog {
     }
 
     /// Stores the document decoded from a zero-copy
-    /// [`PreparedSnapshot`] under `name`, pinning the snapshot's byte
-    /// image for the entry's lifetime (the decode happens at most once
-    /// per snapshot and is shared with every other holder).  Replaces
+    /// [`PreparedSnapshot`] under `name` (the decode happens at most once
+    /// per snapshot and is shared with every other holder).  The entry
+    /// keeps only the decoded document: once the caller drops its last
+    /// handle to the snapshot, the byte image is freed.  Replaces
     /// (generation bump) if the name exists.
     pub fn insert_snapshot(
         &self,
@@ -526,16 +475,7 @@ impl Catalog {
         let prepared = snapshot.document().map_err(|e| CatalogError::Backend {
             message: e.to_string(),
         })?;
-        let (reserved, fresh) = self.reserve_id(name);
-        Ok(self.install(
-            name,
-            reserved,
-            fresh,
-            false,
-            prepared,
-            BackendKind::Snapshot,
-            Backing::Snapshot(Arc::clone(snapshot)),
-        ))
+        Ok(self.install(name, prepared, BackendKind::Snapshot, Backing::Eager))
     }
 
     /// Builds a document from a non-XML [`TreeProvider`] (for example the
@@ -551,30 +491,16 @@ impl Catalog {
             .map_err(|e| CatalogError::Backend {
                 message: e.to_string(),
             })?;
-        let (reserved, fresh) = self.reserve_id(name);
-        Ok(self.install(
-            name,
-            reserved,
-            fresh,
-            false,
-            Arc::new(prepared),
-            BackendKind::Tree,
-            Backing::Eager,
-        ))
+        Ok(self.install(name, Arc::new(prepared), BackendKind::Tree, Backing::Eager))
     }
 
-    /// `via_engine_cache` says whether `prepared` was just built through
-    /// [`Engine::prepare_keyed`] under the installed id's stable key — if
-    /// it was not (the `insert_prepared` path), a replacement must also
-    /// drop the id's keyed entry, or the *previous* generation's index
-    /// would stay pinned there.
-    #[allow(clippy::too_many_arguments)] // private installer; every call site names the flags
+    /// Stores `prepared` under `name`: an existing name keeps its id and
+    /// moves to the next generation; a new name gets a freshly minted id
+    /// at generation 1, evicting the least-recently-used entry when the
+    /// catalog is full.
     fn install(
         &self,
         name: &str,
-        reserved: DocId,
-        fresh: bool,
-        via_engine_cache: bool,
         prepared: Arc<PreparedDocument>,
         kind: BackendKind,
         backing: Backing,
@@ -605,7 +531,7 @@ impl Catalog {
                     id: existing,
                     generation: old.generation + 1,
                     revision: 0,
-                    prepared: Arc::clone(&prepared),
+                    prepared,
                     kind,
                     backing,
                     last_used: AtomicU64::new(tick),
@@ -630,19 +556,17 @@ impl Catalog {
                         purge.push(gone);
                     }
                 }
-                // A reservation that was *not* freshly minted named an
-                // entry that has since been removed or evicted: that id
-                // is retired and must not be resurrected (a reborn id at
-                // generation 1 could climb back to a generation whose
-                // stale artifacts still linger).  Mint a genuinely new
-                // id instead.
-                id = if fresh { reserved } else { mint_doc_id() };
+                // Always a new id: a retired (removed or evicted) id is
+                // never resurrected, since a reborn id at generation 1
+                // could climb back to a generation whose stale artifacts
+                // still linger.
+                id = mint_doc_id();
                 let entry = Arc::new(CatalogEntry {
                     name: name.to_string(),
                     id,
                     generation: 1,
                     revision: 0,
-                    prepared: Arc::clone(&prepared),
+                    prepared,
                     kind,
                     backing,
                     last_used: AtomicU64::new(tick),
@@ -652,36 +576,6 @@ impl Catalog {
                 docs.by_name.insert(name.to_string(), id);
                 docs.entries.insert(id, entry);
                 shared.inserts.fetch_add(1, Ordering::Relaxed);
-            }
-            // Publish the installed index into the keyed document cache
-            // *inside* the store's critical section: the prepare_keyed
-            // calls above race unserialized, so two replacements of one
-            // name could otherwise leave the cache holding the superseded
-            // generation's index (pinned, and a guaranteed cold rebuild
-            // for the live one).  Publishing here makes the cache agree
-            // with installation order.  O(1) — no index is built under
-            // the lock; the documents mutex nests inside the store lock
-            // only on this path, and nothing locks in the other order.
-            if via_engine_cache {
-                shared.engine.cache_keyed(id.as_u64(), &prepared);
-            }
-            // Keyed-cache *discards* stay inside the critical section
-            // too: deferred outside it, our cleanup could run after a
-            // concurrent installer's publish and drop their live index —
-            // the exact superseded-state outcome publishing under the
-            // lock exists to prevent.  Each discard is O(1).  Dropped
-            // here: evicted victims' entries, a replaced entry the
-            // engine cache was bypassed for (`insert_prepared` — the
-            // previous generation's index must not stay pinned), and a
-            // reservation the store moved under (its speculatively
-            // cached index was never installed).
-            for e in &purge {
-                if e.id != id || !via_engine_cache {
-                    shared.engine.discard_keyed(e.id.as_u64());
-                }
-            }
-            if reserved != id {
-                shared.engine.discard_keyed(reserved.as_u64());
             }
         }
         // Register the installed entry's scope hold *before* releasing the
@@ -825,7 +719,6 @@ impl Catalog {
                         Some(e) => {
                             self.shared.evictions.fetch_add(1, Ordering::Relaxed);
                             self.shared.artifacts.release_doc(e.id, e.scope(), e.kind);
-                            self.shared.engine.discard_keyed(e.id.as_u64());
                         }
                         // The store changed under us; stop rather than
                         // spin against concurrent writers.
@@ -836,8 +729,7 @@ impl Catalog {
         }
     }
 
-    /// Removes the named document (and purges its artifacts and its
-    /// stable-keyed entry in the engine's document cache).  Returns
+    /// Removes the named document (and purges its artifacts).  Returns
     /// whether it existed.  The id is retired, never reused.
     pub fn remove(&self, name: &str) -> bool {
         let removed = {
@@ -850,7 +742,6 @@ impl Catalog {
             Some(e) => {
                 self.shared.removals.fetch_add(1, Ordering::Relaxed);
                 self.shared.artifacts.release_doc(e.id, e.scope(), e.kind);
-                self.shared.engine.discard_keyed(e.id.as_u64());
                 true
             }
             None => false,
@@ -916,23 +807,25 @@ impl Catalog {
                 .and_then(|id| docs.entries.get(&id))
                 .cloned()
                 .ok_or(missing)?;
-            // Non-eager backings promote to eager on mutation: an edited
-            // document diverges from its storage (a lazy input string, a
-            // snapshot byte image), and a lazy wave must be complete
-            // before editing (node ids across waves are incomparable).
-            let (base, kind, backing) = match &entry.backing {
+            // Lazy and snapshot entries promote to eager on mutation: an
+            // edited document diverges from its storage (a lazy input
+            // string, a snapshot byte image), and a lazy wave must be
+            // complete before editing (node ids across waves are
+            // incomparable).
+            let (base, kind) = match &entry.backing {
                 Backing::Lazy { doc: lazy, .. } => {
                     let full = lazy.materialize_all().map_err(|e| CatalogError::Backend {
                         message: format!("lazy materialization failed: {e}"),
                     })?;
-                    (full, BackendKind::Eager, Backing::Eager)
+                    (full, BackendKind::Eager)
                 }
-                Backing::Snapshot(_) => (
-                    Arc::clone(&entry.prepared),
-                    BackendKind::Eager,
-                    Backing::Eager,
-                ),
-                Backing::Eager => (Arc::clone(&entry.prepared), entry.kind, Backing::Eager),
+                Backing::Eager => {
+                    let kind = match entry.kind {
+                        BackendKind::Snapshot => BackendKind::Eager,
+                        kind => kind,
+                    };
+                    (Arc::clone(&entry.prepared), kind)
+                }
             };
             promoted = kind != entry.kind || !Arc::ptr_eq(&base, &entry.prepared);
             let mut live = LiveDocument::resume(base, entry.revision);
@@ -956,15 +849,11 @@ impl Catalog {
                 revision: live.revision(),
                 prepared: Arc::clone(&new_prepared),
                 kind,
-                backing,
+                backing: Backing::Eager,
                 last_used: AtomicU64::new(tick),
                 counters: Arc::clone(&entry.counters),
             });
             docs.entries.insert(entry.id, next);
-            // Publish the post-edit index under the id's stable key inside
-            // the critical section — same protocol as `install`, so the
-            // engine's document cache agrees with publication order.
-            shared.engine.cache_keyed(entry.id.as_u64(), &new_prepared);
             shared.mutations.fetch_add(1, Ordering::Relaxed);
             outcome = MutationOutcome {
                 value,

@@ -1,5 +1,4 @@
-//! Bounded LRU caches behind the engine: compiled plans and prepared
-//! documents.
+//! The bounded LRU plan cache behind the engine.
 //!
 //! Compilation (parse + classify + plan) is pure per-query work; an engine
 //! serving repeated query strings should pay it once.  [`PlanCache`] is a
@@ -16,13 +15,9 @@
 //! compiles it, and threads asking for the same key meanwhile wait for that
 //! one result and count as hits.
 //!
-//! [`DocumentCache`] is the same idea for the document side of the
-//! pipeline: it memoizes [`PreparedDocument`] index construction per
-//! document, keyed by a [`DocKey`] — the document's [`Arc`] address on the
-//! legacy path (sound only because the cache keeps the document alive; see
-//! [`DocKey`] for the address-reuse hazard), or a caller-assigned stable id
-//! on the catalog path ([`DocumentCache::get_or_prepare_keyed`]), which
-//! survives document replacement.
+//! The per-document half of the pipeline is not cached here: a caller
+//! builds a [`xpeval_dom::PreparedDocument`] once and keeps it (the catalog
+//! keeps one per named document).
 //!
 //! Recency is tracked with a monotonic touch counter per entry; eviction
 //! scans for the minimum.  That is O(capacity) per eviction, which is the
@@ -35,7 +30,6 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
-use xpeval_dom::{Document, PreparedDocument};
 use xpeval_obs::{Field, FieldValue, MetricSource};
 
 /// Maximum number of shards of a [`ShardedPlanCache`].  Small caches use a
@@ -54,7 +48,7 @@ pub struct ShardStats {
     pub len: usize,
 }
 
-/// Observable counters of a plan or document cache.
+/// Observable counters of a plan cache.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from the cache (no re-parse, no re-classification).
@@ -68,7 +62,7 @@ pub struct CacheStats {
     /// Maximum number of entries (0 = caching disabled).
     pub capacity: usize,
     /// Per-shard hit/miss/len counters, one entry per shard.  Empty for
-    /// unsharded caches ([`PlanCache`], [`DocumentCache`]).
+    /// an unsharded [`PlanCache`].
     pub per_shard: Vec<ShardStats>,
 }
 
@@ -410,273 +404,6 @@ impl Drop for Landing<'_> {
     }
 }
 
-/// How a [`DocumentCache`] entry is identified.
-///
-/// The legacy [`Address`](DocKey::Address) keying identifies a document by
-/// the address of its [`Arc`] allocation.  That is *sound* here only
-/// because every cached entry holds its document alive (through the
-/// `PreparedDocument`), so an address cannot be recycled by a new document
-/// while its entry exists — but it is a footgun for everything above this
-/// cache: the address is not a stable name.  Re-parsing the same XML gives
-/// a different address (a guaranteed cold miss), and once an entry is
-/// evicted or cleared the allocator is free to hand the *same address* to
-/// an unrelated document, so any address a caller stashed outside the
-/// cache's lifetime silently changes meaning.  Layers that need to name,
-/// share or replace documents should key by a [`Stable`](DocKey::Stable)
-/// external id instead — that is what the catalog's `DocId`s route through
-/// ([`DocumentCache::get_or_prepare_keyed`]).
-///
-/// The address path is **deprecated for catalog-owned documents**: a
-/// document that some stable key owns must never be re-cached by address
-/// (two keys, two entries, and the address one silently dangles across a
-/// catalog replacement).  Debug builds enforce this — an address-keyed
-/// cache *hit* on a document a stable entry holds panics with a debug
-/// assertion naming the fix (`Engine::prepare_keyed`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum DocKey {
-    /// The address of the document's [`Arc`] allocation (legacy path; see
-    /// the address-reuse hazard above).
-    Address(usize),
-    /// A caller-assigned stable id, e.g. a catalog `DocId`.  Replacing the
-    /// document behind a stable key rebuilds the entry in place.
-    Stable(u64),
-}
-
-/// Memoizes [`PreparedDocument`] index construction per document — the
-/// document-side analogue of the plan cache.
-///
-/// Entries are keyed by [`DocKey`]: either the address of the document's
-/// [`Arc`] allocation (legacy; see the [`DocKey`] docs for the
-/// address-reuse hazard) or a caller-assigned stable id (the catalog
-/// path).
-#[derive(Debug)]
-pub struct DocumentCache {
-    inner: Mutex<DocumentCacheInner>,
-}
-
-#[derive(Debug)]
-struct DocumentCacheInner {
-    capacity: usize,
-    entries: HashMap<DocKey, DocumentEntry>,
-    tick: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-#[derive(Debug)]
-struct DocumentEntry {
-    prepared: Arc<PreparedDocument>,
-    last_used: u64,
-}
-
-impl DocumentCacheInner {
-    /// Makes room for `key`: evicts the least-recently-used entry when
-    /// the cache is at capacity and `key` is not already stored (storing
-    /// over an existing key does not grow the map, so it must not evict).
-    /// The single eviction-policy site for every insert path.
-    fn evict_if_full(&mut self, key: &DocKey) {
-        if self.entries.len() >= self.capacity && !self.entries.contains_key(key) {
-            if let Some(victim) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(&k, _)| k)
-            {
-                self.entries.remove(&victim);
-                self.evictions += 1;
-            }
-        }
-    }
-}
-
-impl DocumentCache {
-    /// Creates a cache holding at most `capacity` prepared documents;
-    /// 0 disables caching (every call prepares afresh).
-    pub fn new(capacity: usize) -> Self {
-        DocumentCache {
-            inner: Mutex::new(DocumentCacheInner {
-                capacity,
-                entries: HashMap::with_capacity(capacity.min(64)),
-                tick: 0,
-                hits: 0,
-                misses: 0,
-                evictions: 0,
-            }),
-        }
-    }
-
-    /// Returns the prepared form of `doc`, building (and caching) it on
-    /// first sight, keyed by the address of its [`Arc`] allocation.
-    ///
-    /// This is the legacy entry point: the address is only a usable key
-    /// *inside* this cache (entries keep their documents alive, so a live
-    /// key cannot be recycled) — see [`DocKey`] for why it is a hazard as a
-    /// document name anywhere else.  Callers that manage named, replaceable
-    /// documents should use [`DocumentCache::get_or_prepare_keyed`] with
-    /// their own stable id.
-    pub fn get_or_prepare(&self, doc: &Arc<Document>) -> Arc<PreparedDocument> {
-        self.get_or_prepare_at(DocKey::Address(Arc::as_ptr(doc) as usize), doc)
-    }
-
-    /// Returns the prepared form of `doc` under a caller-assigned stable
-    /// key (e.g. a catalog `DocId`).
-    ///
-    /// Unlike the address path, the key survives document replacement: when
-    /// the entry under `key` holds a *different* document than `doc` (the
-    /// caller swapped the document behind its id), the stale index is
-    /// dropped and rebuilt for `doc` — a miss, not a stale hit.
-    pub fn get_or_prepare_keyed(&self, key: u64, doc: &Arc<Document>) -> Arc<PreparedDocument> {
-        self.get_or_prepare_at(DocKey::Stable(key), doc)
-    }
-
-    /// The shared get → build → insert path.
-    ///
-    /// The O(|D|) index construction happens **outside** the cache lock —
-    /// same discipline as the plan cache's get → compile → insert — so
-    /// concurrent preparations of unrelated documents never serialize.  Two
-    /// threads racing on the *same* unseen document may both build; the
-    /// first insert wins and both get a usable index.  Two threads racing a
-    /// *replacement* under one stable key (different documents) both build
-    /// and the last insert wins — which may not be the caller's notion of
-    /// the winning replacement; callers that care (the catalog) re-publish
-    /// the installed index via [`DocumentCache::insert_keyed`] inside
-    /// their own critical section.
-    fn get_or_prepare_at(&self, key: DocKey, doc: &Arc<Document>) -> Arc<PreparedDocument> {
-        {
-            let mut inner = self.inner.lock().unwrap();
-            inner.tick += 1;
-            let tick = inner.tick;
-            let same_doc = inner
-                .entries
-                .get(&key)
-                .map(|entry| Arc::ptr_eq(entry.prepared.shared_document(), doc));
-            match same_doc {
-                Some(true) => {
-                    // An address-keyed hit on a document some stable key
-                    // also owns means a caller is naming a catalog-owned
-                    // document by its Arc address — exactly the aliasing
-                    // footgun stable keys exist to retire (the address
-                    // stops meaning this document the moment the catalog
-                    // replaces or drops it).  Reject it loudly in debug
-                    // builds; the release fast path pays nothing.
-                    #[cfg(debug_assertions)]
-                    if matches!(key, DocKey::Address(_)) {
-                        debug_assert!(
-                            !inner
-                                .entries
-                                .iter()
-                                .any(|(k, e)| matches!(k, DocKey::Stable(_))
-                                    && Arc::ptr_eq(e.prepared.shared_document(), doc)),
-                            "document cache: address-keyed hit on a document owned by a \
-                             stable key — prepare catalog-owned documents through their \
-                             stable id (Engine::prepare_keyed), not by Arc address"
-                        );
-                    }
-                    let entry = inner.entries.get_mut(&key).expect("entry checked above");
-                    entry.last_used = tick;
-                    let prepared = Arc::clone(&entry.prepared);
-                    inner.hits += 1;
-                    return prepared;
-                }
-                Some(false) => {
-                    // A stable key whose document was replaced: the stale
-                    // index must not be served again.
-                    inner.entries.remove(&key);
-                }
-                None => {}
-            }
-            inner.misses += 1;
-        }
-
-        let prepared = Arc::new(PreparedDocument::new(Arc::clone(doc)));
-
-        let mut inner = self.inner.lock().unwrap();
-        if inner.capacity == 0 {
-            return prepared;
-        }
-        if let Some(entry) = inner.entries.get(&key) {
-            if Arc::ptr_eq(entry.prepared.shared_document(), doc) {
-                // Lost the build race: keep the entry that is already
-                // shared.
-                return Arc::clone(&entry.prepared);
-            }
-            // Raced with a replacement under the same stable key: fall
-            // through and overwrite with the document we were asked for.
-        }
-        inner.evict_if_full(&key);
-        let tick = inner.tick;
-        inner.entries.insert(
-            key,
-            DocumentEntry {
-                prepared: Arc::clone(&prepared),
-                last_used: tick,
-            },
-        );
-        prepared
-    }
-
-    /// Stores an already-prepared document under a stable key,
-    /// unconditionally replacing whatever entry the key held.  O(1); no
-    /// index is built.
-    ///
-    /// This is the *publish* half of the stable-key protocol: a caller
-    /// that builds via [`DocumentCache::get_or_prepare_keyed`] outside its
-    /// own lock and then installs the result under that lock can make the
-    /// cache agree with its installation order by calling this inside the
-    /// critical section — two racing replacements of one key then leave
-    /// the cache holding whichever index the *last installer* published,
-    /// never a superseded one.
-    pub fn insert_keyed(&self, key: u64, prepared: &Arc<PreparedDocument>) {
-        let mut inner = self.inner.lock().unwrap();
-        if inner.capacity == 0 {
-            return;
-        }
-        let key = DocKey::Stable(key);
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.evict_if_full(&key);
-        inner.entries.insert(
-            key,
-            DocumentEntry {
-                prepared: Arc::clone(prepared),
-                last_used: tick,
-            },
-        );
-    }
-
-    /// Drops the entry under a stable key, if any; returns whether one
-    /// was removed.  Callers that retire their stable keys (a catalog
-    /// removing or evicting a document) should call this so dead indexes
-    /// do not stay pinned in the cache until LRU pressure finds them.
-    pub fn remove_keyed(&self, key: u64) -> bool {
-        self.inner
-            .lock()
-            .unwrap()
-            .entries
-            .remove(&DocKey::Stable(key))
-            .is_some()
-    }
-
-    /// Current counters.
-    pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock().unwrap();
-        CacheStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            evictions: inner.evictions,
-            len: inner.entries.len(),
-            capacity: inner.capacity,
-            per_shard: Vec::new(),
-        }
-    }
-
-    /// Drops every cached prepared document (counters are kept).
-    pub fn clear(&self) {
-        self.inner.lock().unwrap().entries.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -788,79 +515,5 @@ mod tests {
         // Keys hash unevenly, so a full cache may evict within hot shards;
         // every entry is either stored or was evicted.
         assert_eq!(s.len as u64 + s.evictions, 64);
-    }
-
-    #[test]
-    fn document_cache_memoizes_preparation_per_document() {
-        use xpeval_dom::parse_xml;
-        let cache = DocumentCache::new(2);
-        let d1 = Arc::new(parse_xml("<a><b/></a>").unwrap());
-        let d2 = Arc::new(parse_xml("<c/>").unwrap());
-        let p1 = cache.get_or_prepare(&d1);
-        let p1_again = cache.get_or_prepare(&d1);
-        assert!(Arc::ptr_eq(&p1, &p1_again));
-        cache.get_or_prepare(&d2);
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.len), (1, 2, 2));
-        // A third document evicts the least-recently-used entry.
-        let d3 = Arc::new(parse_xml("<d/>").unwrap());
-        cache.get_or_prepare(&d3);
-        assert_eq!(cache.stats().evictions, 1);
-        assert_eq!(cache.stats().len, 2);
-    }
-
-    #[test]
-    fn stable_keys_survive_replacement_with_a_rebuild() {
-        use xpeval_dom::parse_xml;
-        let cache = DocumentCache::new(4);
-        let v1 = Arc::new(parse_xml("<a><b/></a>").unwrap());
-        let p1 = cache.get_or_prepare_keyed(7, &v1);
-        let p1_again = cache.get_or_prepare_keyed(7, &v1);
-        assert!(Arc::ptr_eq(&p1, &p1_again));
-        assert_eq!((cache.stats().hits, cache.stats().misses), (1, 1));
-
-        // Replacing the document behind the key rebuilds instead of
-        // serving the stale index.
-        let v2 = Arc::new(parse_xml("<a><b/><b/></a>").unwrap());
-        let p2 = cache.get_or_prepare_keyed(7, &v2);
-        assert!(!Arc::ptr_eq(&p1, &p2));
-        assert!(Arc::ptr_eq(p2.shared_document(), &v2));
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.len), (1, 2, 1));
-        // The new document is now the hit.
-        let p2_again = cache.get_or_prepare_keyed(7, &v2);
-        assert!(Arc::ptr_eq(&p2, &p2_again));
-
-        // Stable and address keys never collide: preparing v2 by address
-        // is its own entry.
-        cache.get_or_prepare(&v2);
-        assert_eq!(cache.stats().len, 2);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "address-keyed hit")]
-    fn address_keyed_hits_on_stable_owned_documents_are_rejected_in_debug() {
-        use xpeval_dom::parse_xml;
-        let cache = DocumentCache::new(4);
-        let doc = Arc::new(parse_xml("<r/>").unwrap());
-        // The catalog path owns this document under a stable key...
-        cache.get_or_prepare_keyed(9, &doc);
-        // ...so naming it by Arc address is the deprecated footgun: the
-        // first call builds the duplicate entry (a miss), the second is
-        // the address-keyed *hit* the debug assertion rejects.
-        cache.get_or_prepare(&doc);
-        cache.get_or_prepare(&doc);
-    }
-
-    #[test]
-    fn zero_capacity_document_cache_prepares_fresh() {
-        use xpeval_dom::parse_xml;
-        let cache = DocumentCache::new(0);
-        let d = Arc::new(parse_xml("<a/>").unwrap());
-        let p1 = cache.get_or_prepare(&d);
-        let p2 = cache.get_or_prepare(&d);
-        assert!(!Arc::ptr_eq(&p1, &p2));
-        assert_eq!(cache.stats().len, 0);
     }
 }

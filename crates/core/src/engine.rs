@@ -16,7 +16,7 @@
 //! engine adds only configuration and caching on top.
 
 use crate::bindings::Bindings;
-use crate::cache::{CacheStats, DocumentCache, ShardedPlanCache};
+use crate::cache::{CacheStats, ShardedPlanCache};
 use crate::compile::{recommended_strategy, CompileOptions, CompiledQuery, QueryOutput};
 use crate::context::Context;
 use crate::error::EvalError;
@@ -63,19 +63,17 @@ pub enum EvalStrategy {
 pub struct EngineBuilder {
     strategy: Option<EvalStrategy>,
     cache_capacity: usize,
-    document_cache_capacity: usize,
     registry: FunctionRegistry,
     telemetry: Option<Arc<Telemetry>>,
 }
 
 impl EngineBuilder {
     /// Default configuration: automatic per-query strategy selection, a
-    /// 128-plan cache, an 8-document index cache, no registered functions.
+    /// 128-plan cache, no registered functions.
     pub fn new() -> Self {
         EngineBuilder {
             strategy: None,
             cache_capacity: 128,
-            document_cache_capacity: 8,
             registry: FunctionRegistry::new(),
             telemetry: None,
         }
@@ -116,13 +114,6 @@ impl EngineBuilder {
     /// sits exactly at capacity.
     pub fn plan_cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = capacity;
-        self
-    }
-
-    /// Document-index cache capacity in prepared documents; 0 disables the
-    /// cache (every [`Engine::prepare`] call rebuilds the indexes).
-    pub fn document_cache_capacity(mut self, capacity: usize) -> Self {
-        self.document_cache_capacity = capacity;
         self
     }
 
@@ -173,7 +164,6 @@ impl EngineBuilder {
             inner: Arc::new(EngineInner {
                 strategy: self.strategy,
                 cache: ShardedPlanCache::new(self.cache_capacity),
-                documents: DocumentCache::new(self.document_cache_capacity),
                 registry,
                 telemetry: self.telemetry,
             }),
@@ -190,8 +180,8 @@ impl Default for EngineBuilder {
 /// Facade dispatching queries to an evaluation strategy through the
 /// compile-once pipeline.
 ///
-/// `Engine` is a cheap-to-clone *handle*: the plan cache and the document
-/// cache live behind an [`Arc`], so clones share them.  A worker pool can
+/// `Engine` is a cheap-to-clone *handle*: the plan cache lives behind an
+/// [`Arc`], so clones share it.  A worker pool can
 /// hand every worker its own `Engine` clone and a query compiled through
 /// any of them is a cache hit for all — this is the surface the async
 /// serving layer (`xpeval-serve`) builds on.  All entry points take
@@ -206,7 +196,6 @@ struct EngineInner {
     /// `None` = pick the recommended strategy per query.
     strategy: Option<EvalStrategy>,
     cache: ShardedPlanCache,
-    documents: DocumentCache,
     /// User-registered functions, shared by every plan this engine compiles.
     registry: Arc<FunctionRegistry>,
     /// Telemetry handle attached to every plan this engine compiles;
@@ -361,46 +350,6 @@ impl Engine {
         queries.iter().map(|q| q.run(doc)).collect()
     }
 
-    /// Prepares a document's axis indexes through the engine's document
-    /// cache: repeated calls on the same `Arc<Document>` return the cached
-    /// [`PreparedDocument`] — the document-side analogue of
-    /// [`Engine::compile`].
-    ///
-    /// Entries are keyed by the `Arc` allocation address — usable only
-    /// because the cache itself keeps each document alive (see
-    /// [`crate::cache::DocKey`] for the address-reuse hazard).  Layers that
-    /// name and replace documents (a catalog) should route through
-    /// [`Engine::prepare_keyed`] with their own stable id instead.
-    pub fn prepare(&self, doc: &Arc<Document>) -> Arc<PreparedDocument> {
-        self.inner.documents.get_or_prepare(doc)
-    }
-
-    /// Prepares a document under a caller-assigned stable key (e.g. a
-    /// catalog `DocId`), through the engine's document cache.  Unlike
-    /// [`Engine::prepare`], the key survives document replacement: passing
-    /// a different document under the same key drops the stale index and
-    /// rebuilds, never serving the old one.
-    pub fn prepare_keyed(&self, key: u64, doc: &Arc<Document>) -> Arc<PreparedDocument> {
-        self.inner.documents.get_or_prepare_keyed(key, doc)
-    }
-
-    /// Publishes an already-prepared document under a stable key,
-    /// unconditionally replacing the key's entry (O(1), no index build).
-    /// The commit half of [`Engine::prepare_keyed`] for callers that
-    /// serialize installation under their own lock — see
-    /// [`crate::cache::DocumentCache::insert_keyed`].
-    pub fn cache_keyed(&self, key: u64, prepared: &Arc<PreparedDocument>) {
-        self.inner.documents.insert_keyed(key, prepared);
-    }
-
-    /// Drops the document-cache entry under a stable key (no-op when
-    /// absent); returns whether one was removed.  Call when the key is
-    /// retired — e.g. a catalog removing or evicting the document — so
-    /// the dead index does not stay pinned until LRU pressure finds it.
-    pub fn discard_keyed(&self, key: u64) -> bool {
-        self.inner.documents.remove_keyed(key)
-    }
-
     /// Evaluates a query against a prepared document from the canonical
     /// root context ([`Engine::compile_expr`] +
     /// [`CompiledQuery::run_prepared`]).
@@ -520,19 +469,9 @@ impl Engine {
         self.inner.cache.stats()
     }
 
-    /// Counters of the document-index cache.
-    pub fn document_cache_stats(&self) -> CacheStats {
-        self.inner.documents.stats()
-    }
-
     /// Drops every cached plan (counters are kept).
     pub fn clear_plan_cache(&self) {
         self.inner.cache.clear();
-    }
-
-    /// Drops every cached prepared document (counters are kept).
-    pub fn clear_document_cache(&self) {
-        self.inner.documents.clear();
     }
 }
 
@@ -666,39 +605,10 @@ mod tests {
     }
 
     #[test]
-    fn prepare_is_memoized_per_document() {
-        let doc = Arc::new(parse_xml(BOOKS).unwrap());
-        let engine = Engine::builder().build();
-        let p1 = engine.prepare(&doc);
-        let p2 = engine.prepare(&doc);
-        assert!(Arc::ptr_eq(&p1, &p2));
-        let stats = engine.document_cache_stats();
-        assert_eq!((stats.hits, stats.misses, stats.len), (1, 1, 1));
-        // A different document is a fresh miss.
-        let other = Arc::new(parse_xml("<x/>").unwrap());
-        engine.prepare(&other);
-        assert_eq!(engine.document_cache_stats().misses, 2);
-        engine.clear_document_cache();
-        assert_eq!(engine.document_cache_stats().len, 0);
-    }
-
-    #[test]
-    fn prepare_keyed_rebuilds_on_replacement() {
-        let engine = Engine::builder().build();
-        let v1 = Arc::new(parse_xml(BOOKS).unwrap());
-        let p1 = engine.prepare_keyed(42, &v1);
-        assert!(Arc::ptr_eq(&p1, &engine.prepare_keyed(42, &v1)));
-        let v2 = Arc::new(parse_xml("<lib/>").unwrap());
-        let p2 = engine.prepare_keyed(42, &v2);
-        assert!(Arc::ptr_eq(p2.shared_document(), &v2));
-        assert_eq!(engine.document_cache_stats().len, 1);
-    }
-
-    #[test]
     fn prepared_entry_points_agree_with_plain_ones() {
         let doc = Arc::new(parse_xml(BOOKS).unwrap());
         let engine = Engine::builder().build();
-        let prepared = engine.prepare(&doc);
+        let prepared = PreparedDocument::new(Arc::clone(&doc));
         for q in [
             "/lib/book/title",
             "//book[@year = 2003]/title",
@@ -747,8 +657,8 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_the_plan_and_document_caches() {
-        let doc = Arc::new(parse_xml(BOOKS).unwrap());
+    fn clones_share_the_plan_cache() {
+        let doc = parse_xml(BOOKS).unwrap();
         let engine = Engine::builder().build();
         let clone = engine.clone();
 
@@ -757,12 +667,33 @@ mod tests {
         engine.evaluate_str(&doc, "count(//book)").unwrap();
         let s = engine.cache_stats();
         assert_eq!((s.misses, s.hits), (1, 1), "{s:?}");
+    }
 
-        // Same for the document cache.
-        let p1 = clone.prepare(&doc);
-        let p2 = engine.prepare(&doc);
-        assert!(Arc::ptr_eq(&p1, &p2));
-        assert_eq!(engine.document_cache_stats().hits, 1);
+    #[test]
+    fn evaluation_keeps_no_document_alive() {
+        // The engine owns plans and nothing else: once the caller drops a
+        // document it evaluated, the document is freed, while the plans
+        // stay cached for the next document.
+        let engine = Engine::builder().build();
+        let doc = Arc::new(parse_xml(BOOKS).unwrap());
+        let prepared = Arc::new(PreparedDocument::new(Arc::clone(&doc)));
+        engine.evaluate_str(&doc, "count(//book)").unwrap();
+        engine
+            .evaluate_str_prepared(&prepared, "//book/title")
+            .unwrap();
+        let plan = engine.compile("//title").unwrap();
+        plan.run_prepared(&prepared).unwrap();
+        let (doc_weak, prepared_weak) = (Arc::downgrade(&doc), Arc::downgrade(&prepared));
+        drop((doc, prepared));
+        assert!(prepared_weak.upgrade().is_none(), "prepared document freed");
+        assert!(doc_weak.upgrade().is_none(), "document freed");
+        assert_eq!(engine.cache_stats().len, 3);
+
+        let other = parse_xml("<lib><book/></lib>").unwrap();
+        let out = engine.evaluate_str(&other, "count(//book)").unwrap();
+        assert_eq!(out, Value::Number(1.0));
+        let s = engine.cache_stats();
+        assert_eq!((s.misses, s.hits), (3, 1), "{s:?}");
     }
 
     #[test]
@@ -814,7 +745,7 @@ mod tests {
     fn one_plan_serves_many_bindings_without_cache_misses() {
         let doc = Arc::new(parse_xml(BOOKS).unwrap());
         let engine = Engine::builder().build();
-        let prepared = engine.prepare(&doc);
+        let prepared = PreparedDocument::new(Arc::clone(&doc));
         let query = "//book[@year = $year]/title";
         let mut non_empty = 0;
         for year in 0..64 {
@@ -845,9 +776,8 @@ mod tests {
 
     #[test]
     fn bound_batches_share_one_binding_set() {
-        let doc = Arc::new(parse_xml(BOOKS).unwrap());
         let engine = Engine::builder().build();
-        let prepared = engine.prepare(&doc);
+        let prepared = PreparedDocument::new(parse_xml(BOOKS).unwrap());
         let with_var = engine.compile("count(//book[@year = $year])").unwrap();
         let without = engine.compile("count(//book)").unwrap();
         let b = Bindings::new().with_number("year", 2003.0);

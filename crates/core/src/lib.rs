@@ -36,12 +36,12 @@
 //!   [`CompiledQuery::run`] / [`CompiledQuery::run_many`], returning a
 //!   [`QueryOutput`] with the unified [`EvalStats`].
 //! * [`cache`] — a bounded LRU [`PlanCache`] keyed by query string, sharded
-//!   under concurrency ([`ShardedPlanCache`]), plus the [`DocumentCache`]
-//!   memoizing per-document index preparation; all with observable
+//!   under concurrency ([`ShardedPlanCache`]), with observable
 //!   [`CacheStats`].
 //! * [`engine`] — [`Engine`], built by [`EngineBuilder`], drives the plan
-//!   and document caches and offers one-shot, batch and `*_prepared`
-//!   evaluation over compiled queries.
+//!   cache and offers one-shot, batch and `*_prepared` evaluation over
+//!   compiled queries.  It caches no documents: the caller prepares one
+//!   once and keeps it.
 //!
 //! ## The prepare-once document side
 //!
@@ -71,7 +71,7 @@ pub mod stream;
 pub mod value;
 
 pub use bindings::Bindings;
-pub use cache::{CacheStats, DocKey, DocumentCache, PlanCache, ShardStats, ShardedPlanCache};
+pub use cache::{CacheStats, PlanCache, ShardStats, ShardedPlanCache};
 pub use compile::{
     default_threads, recommended_strategy, CompileOptions, CompiledQuery, QueryOutput,
 };

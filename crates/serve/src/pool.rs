@@ -2,8 +2,8 @@
 //! submission surface.
 //!
 //! An [`AsyncEngine`] owns a fixed pool of worker threads, each holding
-//! its own clone of the underlying [`Engine`] (clones share the plan and
-//! document caches — [`Engine`] is a cheap handle).  Submissions cross a
+//! its own clone of the underlying [`Engine`] (clones share the plan
+//! cache — [`Engine`] is a cheap handle).  Submissions cross a
 //! bounded MPMC queue; workers pull jobs, evaluate them through the
 //! compile-once pipeline and complete the caller's [`QueryFuture`].
 //!
@@ -29,7 +29,7 @@ use std::time::Instant;
 use xpeval_backends::PreparedSnapshot;
 use xpeval_catalog::{Catalog, CatalogError, LiveDocument, MutationOutcome};
 use xpeval_core::{default_threads, Bindings, CompiledQuery, Engine, EvalError, QueryOutput};
-use xpeval_dom::{Document, PreparedDocument};
+use xpeval_dom::PreparedDocument;
 use xpeval_obs::Histogram;
 
 /// Why a non-blocking submission was not accepted.
@@ -111,7 +111,7 @@ impl AsyncEngineBuilder {
     }
 
     /// Serves through this engine (a clone of its handle goes to every
-    /// worker, so its plan/document caches are shared with the caller).
+    /// worker, so its plan cache is shared with the caller).
     /// Defaults to `Engine::builder().build()`.
     pub fn engine(mut self, engine: Engine) -> Self {
         self.engine = Some(engine);
@@ -630,26 +630,6 @@ impl AsyncEngine {
     ) -> Result<QueryFuture<Vec<QueryResult>>, TrySubmitError> {
         let (job, future) = Self::batch_job(doc, queries);
         self.enqueue(job, future, false)
-    }
-
-    /// Submits a query against an *unprepared* document; the worker
-    /// prepares it through the engine's document cache first (paid once
-    /// per document, not per query).  Blocking, like
-    /// [`AsyncEngine::submit`].
-    pub fn submit_document(
-        &self,
-        doc: &Arc<Document>,
-        query: &str,
-    ) -> Result<QueryFuture<QueryResult>, TrySubmitError> {
-        let doc = Arc::clone(doc);
-        let query = query.to_string();
-        let (job, future) = Self::task_job(move |engine| {
-            let prepared = engine.prepare(&doc);
-            engine
-                .compile(&query)
-                .and_then(|plan| plan.run_prepared(&prepared))
-        });
-        self.enqueue(job, future, true)
     }
 
     /// Submits a query against a **zero-copy prepared snapshot**

@@ -41,7 +41,7 @@ fn main() {
         .strategy(EvalStrategy::ContextValueTable)
         .plan_cache_capacity(256)
         .build();
-    let prepared = engine.prepare_keyed(1, &doc);
+    let prepared = Arc::new(PreparedDocument::new(Arc::clone(&doc)));
     let pool = AsyncEngine::builder()
         .engine(engine.clone())
         .workers(4)
@@ -125,7 +125,6 @@ fn main() {
     // surface of CacheStats / ServeStats).
     println!("\n== observability ==\n");
     println!("plan cache : {}", engine.cache_stats());
-    println!("doc cache  : {}", engine.document_cache_stats());
     let stats = pool.shutdown(); // graceful: drains accepted work first
     println!("serve pool : {stats}");
     for (i, w) in stats.per_worker.iter().enumerate() {

@@ -97,12 +97,13 @@ fn main() {
         println!("{src:35} -> {:?}", compiled.strategy());
     }
 
-    // Part 4: the auto-selected plan (parallel, for this pXPath query),
-    // served repeatedly through an engine.  The cache reports itself as
-    // one Display summary line — no field-by-field printing.
+    // Part 4: the auto-selected plan (the context-value table, for this
+    // pXPath query), served repeatedly through an engine.  The cache
+    // reports itself as one Display summary line — no field-by-field
+    // printing.
     let engine = Engine::builder().plan_cache_capacity(64).build();
     let auto = engine.compile("//item[bid/@increase > 6]/name").unwrap();
-    assert!(matches!(auto.strategy(), EvalStrategy::Parallel { .. }));
+    assert_eq!(auto.strategy(), EvalStrategy::ContextValueTable);
     for _ in 0..3 {
         let direct = engine
             .evaluate_str(&doc, "//item[bid/@increase > 6]/name")

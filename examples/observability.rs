@@ -26,7 +26,7 @@ const QUERIES: [&str; 4] = [
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(2003);
-    let doc = Arc::new(auction_site_document(&mut rng, 150));
+    let doc = auction_site_document(&mut rng, 150);
 
     // One telemetry handle for the whole stack.  `with_sampling(1)` traces
     // and times every execution; production deployments would sample
@@ -37,7 +37,7 @@ fn main() {
         .strategy(EvalStrategy::ContextValueTable)
         .telemetry(Arc::clone(&telemetry))
         .build();
-    let prepared = engine.prepare_keyed(1, &doc);
+    let prepared = Arc::new(PreparedDocument::new(doc));
 
     // Part 1: per-opcode query traces.  Every dispatch through the engine
     // records compile/lower/op spans; the last sampled trace shows where a

@@ -71,10 +71,10 @@ fn main() {
     );
 
     // The document side mirrors the query side: prepare once (tag-name
-    // index, preorder subtree intervals, position tables), evaluate many.
-    // The engine memoizes preparation per document, like plans per string.
+    // index, preorder subtree intervals, position tables), keep the
+    // prepared document, evaluate many.
     let doc = Arc::new(doc);
-    let prepared = engine.prepare_keyed(1, &doc);
+    let prepared = PreparedDocument::new(Arc::clone(&doc));
     let titles = engine
         .evaluate_str_prepared(&prepared, "/descendant::title")
         .unwrap();

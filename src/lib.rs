@@ -98,19 +98,16 @@
 //! ```
 //!
 //! A serving [`Engine`](engine::Engine) adds a bounded (sharded) LRU plan
-//! cache keyed by
-//! the query string and a document cache memoizing preparation, so repeated
-//! `evaluate_str` calls skip the per-query half and
-//! [`engine::Engine::prepare_keyed`] pays the per-document half once,
-//! under a caller-assigned stable id that survives document replacement:
+//! cache keyed by the query string, so repeated `evaluate_str` calls skip
+//! the per-query half.  The per-document half is the caller's to keep:
+//! prepare once and hold the [`PreparedDocument`](dom::PreparedDocument)
+//! (a [`Catalog`](catalog::Catalog) keeps one per named document):
 //!
 //! ```
-//! use std::sync::Arc;
 //! use xpeval::prelude::*;
 //!
 //! let engine = Engine::builder().plan_cache_capacity(256).build();
-//! let doc = Arc::new(parse_xml("<lib><book/><book/></lib>").unwrap());
-//! let prepared = engine.prepare_keyed(1, &doc); // cached under the stable id
+//! let prepared = PreparedDocument::new(parse_xml("<lib><book/><book/></lib>").unwrap());
 //! for _ in 0..10 {
 //!     assert_eq!(
 //!         engine.evaluate_str_prepared(&prepared, "count(//book)").unwrap(),
@@ -257,8 +254,8 @@
 //! [`Catalog`](catalog::Catalog) stores prepared documents under
 //! human-readable names with stable [`DocId`](catalog::DocId)s, bounded
 //! capacity (LRU), and a generation counter bumped by every replacement.
-//! On top of the per-query plan cache and the per-document index cache it
-//! adds the third amortization axis: a **(query × document) artifact
+//! On top of the per-query plan cache and its own per-document prepared
+//! indexes it adds the third amortization axis: a **(query × document) artifact
 //! cache** holding document-specialized plans — strategy choice pinned,
 //! final-step name tests pre-resolved to the document's interned
 //! [`TagId`](dom::TagId)s, candidate bounds precomputed — so repeated

@@ -108,9 +108,8 @@ fn blocking_submit_wakes_when_the_queue_drains() {
 #[test]
 fn shutdown_completes_accepted_work_and_rejects_late_submissions() {
     let mut rng = StdRng::seed_from_u64(7);
-    let doc = Arc::new(auction_site_document(&mut rng, 30));
+    let prepared = Arc::new(PreparedDocument::new(auction_site_document(&mut rng, 30)));
     let engine = Engine::builder().build();
-    let prepared = engine.prepare_keyed(1, &doc);
     let pool = AsyncEngine::builder()
         .engine(engine)
         .workers(2)
@@ -410,38 +409,71 @@ fn named_deadline_submissions_compose() {
 }
 
 #[test]
-fn submit_document_prepares_through_the_engine_cache() {
+fn one_prepared_document_serves_every_submission_and_is_not_retained() {
+    // Callers prepare once and share the handle across submissions; the
+    // pool keeps neither the document nor a copy of it once the work is
+    // done.
     let mut rng = StdRng::seed_from_u64(9);
     let doc = Arc::new(random_tree_document(&mut rng, 50, &["a", "b"]));
+    let prepared = Arc::new(PreparedDocument::new(Arc::clone(&doc)));
     let pool = AsyncEngine::builder().workers(2).build();
 
     let futures: Vec<_> = (0..6)
-        .map(|_| pool.submit_document(&doc, "count(//a)").unwrap())
+        .map(|_| pool.submit(&prepared, "count(//a)").unwrap())
         .collect();
     let reference = pool.engine().evaluate_str(&doc, "count(//a)").unwrap();
     for fut in futures {
         assert_eq!(fut.wait().unwrap().unwrap().value, reference);
     }
-    // Preparation is memoized, not paid per query.  Two workers racing on
-    // the first sight of the document may legitimately both build (the
-    // cache counts a miss per concurrent builder), so assert the shape,
-    // not an exact interleaving: every job looked the document up, at
-    // most one miss per worker, and one cached entry survives.
-    let doc_stats = pool.engine().document_cache_stats();
-    assert_eq!(doc_stats.hits + doc_stats.misses, 6, "{doc_stats:?}");
-    assert!(
-        (1..=2).contains(&doc_stats.misses),
-        "at most one miss per worker: {doc_stats:?}"
-    );
-    assert_eq!(doc_stats.len, 1, "{doc_stats:?}");
+    let stats = pool.shutdown();
+    assert_eq!(stats.completed, 6, "{stats:?}");
+    assert_eq!(Arc::strong_count(&prepared), 1, "the pool holds no handle");
+    let weak = Arc::downgrade(&prepared);
+    drop(prepared);
+    assert!(weak.upgrade().is_none());
+}
+
+#[test]
+fn snapshot_submissions_answer_like_the_source_and_release_the_image() {
+    // Every snapshot submission answers exactly as the document the
+    // snapshot was taken from; the pool drops its handles to the byte
+    // image once the work is done.
+    let mut rng = StdRng::seed_from_u64(10);
+    let prepared = auction_site_document(&mut rng, 20).prepare();
+    let snapshot =
+        Arc::new(PreparedSnapshot::from_bytes(PreparedSnapshot::to_bytes(&prepared)).unwrap());
+    let pool = AsyncEngine::builder().workers(2).build();
+
+    let queries = ["count(//item)", "//item/name", "count(//bid)"];
+    let futures: Vec<_> = queries
+        .iter()
+        .flat_map(|q| (0..2).map(|_| pool.submit_snapshot(&snapshot, q).unwrap()))
+        .collect();
+    let results: Vec<Value> = futures
+        .into_iter()
+        .map(|f| f.wait().unwrap().unwrap().value)
+        .collect();
+    for (i, q) in queries.iter().enumerate() {
+        let reference = pool.engine().evaluate_str_prepared(&prepared, q).unwrap();
+        assert_eq!(results[2 * i], reference, "{q}");
+        assert_eq!(results[2 * i + 1], reference, "{q}");
+    }
+    pool.shutdown();
+    assert_eq!(Arc::strong_count(&snapshot), 1, "the pool holds no handle");
+    let image = Arc::downgrade(&snapshot);
+    drop(snapshot);
+    assert!(image.upgrade().is_none());
 }
 
 #[test]
 fn futures_are_awaitable_through_the_own_executor() {
     let mut rng = StdRng::seed_from_u64(8);
-    let doc = Arc::new(random_tree_document(&mut rng, 60, &["a", "b", "c"]));
+    let prepared = Arc::new(PreparedDocument::new(random_tree_document(
+        &mut rng,
+        60,
+        &["a", "b", "c"],
+    )));
     let pool = AsyncEngine::builder().workers(2).build();
-    let prepared = pool.engine().prepare_keyed(1, &doc);
 
     let value = block_on(async {
         let a = pool.submit(&prepared, "count(//a)").unwrap();
@@ -491,7 +523,7 @@ fn async_results_equal_synchronous_evaluate_batch_across_strategies() {
             .queue_capacity(16)
             .build();
         for (corpus, doc) in &corpora {
-            let prepared = engine.prepare(doc);
+            let prepared = Arc::new(PreparedDocument::new(Arc::clone(doc)));
 
             // Synchronous reference, through the batch entry point.  Every
             // corpus query must compile — a silent filter here would
@@ -544,9 +576,8 @@ fn async_results_equal_synchronous_evaluate_batch_across_strategies() {
 #[test]
 fn concurrent_try_submit_storm_accounts_for_every_request() {
     let mut rng = StdRng::seed_from_u64(11);
-    let doc = Arc::new(auction_site_document(&mut rng, 20));
+    let prepared = Arc::new(PreparedDocument::new(auction_site_document(&mut rng, 20)));
     let pool = AsyncEngine::builder().workers(2).queue_capacity(4).build();
-    let prepared = pool.engine().prepare_keyed(1, &doc);
 
     let (accepted, rejected): (u64, u64) = std::thread::scope(|scope| {
         let mut handles = Vec::new();
@@ -590,9 +621,8 @@ fn concurrent_try_submit_storm_accounts_for_every_request() {
 #[test]
 fn submit_async_round_trip() {
     let mut rng = StdRng::seed_from_u64(12);
-    let doc = Arc::new(auction_site_document(&mut rng, 15));
+    let prepared = Arc::new(PreparedDocument::new(auction_site_document(&mut rng, 15)));
     let pool = AsyncEngine::builder().workers(2).queue_capacity(8).build();
-    let prepared = pool.engine().prepare_keyed(1, &doc);
 
     let value = block_on(async {
         let accepted = pool.submit_async(&prepared, "count(//item)").await.unwrap();

@@ -9,7 +9,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, Weak};
 use xpeval::prelude::*;
 use xpeval::workloads::{core_xpath_query_corpus, pwf_query_corpus, random_tree_document};
 
@@ -130,6 +130,177 @@ fn concurrent_insert_replace_evict_evaluate_stress() {
         catalog.evaluate_on("after", "count(//x)").unwrap().value,
         Value::Number(3.0)
     );
+}
+
+/// Eight threads replace one name 400 times through both insert paths and
+/// never evaluate.  The catalog is the only owner of a prepared document,
+/// so every superseded generation must be freed, whatever order the
+/// replacements landed in.
+#[test]
+fn concurrent_replacements_free_every_superseded_generation() {
+    const THREADS: u64 = 8;
+    const REPLACEMENTS: u64 = 50;
+
+    let catalog = Catalog::new();
+    catalog.insert_xml("d", &marked_xml(0)).unwrap();
+    // Generations by node count (distinct per marker).  The
+    // `insert_prepared` path knows its own document; the `insert_xml` path
+    // reads the entry back right after inserting, which is its own
+    // generation unless another thread replaced it in between.
+    let seen: Mutex<HashMap<usize, Weak<PreparedDocument>>> = Mutex::new(HashMap::new());
+    let record = |prepared: &Arc<PreparedDocument>| {
+        seen.lock()
+            .unwrap()
+            .insert(prepared.node_count(), Arc::downgrade(prepared));
+    };
+    record(&catalog.get("d").unwrap());
+
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let catalog = catalog.clone();
+            let record = &record;
+            scope.spawn(move || {
+                for i in 0..REPLACEMENTS {
+                    let xml = marked_xml(1 + t * REPLACEMENTS + i);
+                    if i % 2 == 0 {
+                        catalog.insert_xml("d", &xml).unwrap();
+                        record(&catalog.get("d").unwrap());
+                    } else {
+                        let prepared = Arc::new(PreparedDocument::new(parse_xml(&xml).unwrap()));
+                        record(&prepared);
+                        catalog.insert_prepared("d", prepared);
+                    }
+                }
+            });
+        }
+    });
+
+    assert_eq!(catalog.generation("d"), Some(1 + THREADS * REPLACEMENTS));
+    let Value::Number(marker) = catalog.evaluate_on("d", "count(//x)").unwrap().value else {
+        panic!("count() must be a number")
+    };
+    assert!(
+        (1..=THREADS * REPLACEMENTS).contains(&(marker as u64)),
+        "the name answers with an inserted document, got {marker}"
+    );
+    let live = catalog.get("d").unwrap();
+    let seen = seen.into_inner().unwrap();
+    // The initial generation and every `insert_prepared` one at least.
+    assert!(
+        seen.len() as u64 > THREADS * REPLACEMENTS / 2,
+        "{}",
+        seen.len()
+    );
+    // The last generation installed is always among them, so exactly one
+    // upgrades: the live one.
+    let mut alive = 0;
+    for (nodes, weak) in seen {
+        if let Some(held) = weak.upgrade() {
+            assert!(
+                Arc::ptr_eq(&held, &live),
+                "a superseded generation ({nodes} nodes) is still alive"
+            );
+            alive += 1;
+        }
+    }
+    assert_eq!(alive, 1);
+}
+
+/// Eight threads race to insert one new name.  The id is minted under the
+/// store's write lock, so exactly one insert creates the name and every
+/// other one replaces it under the same id.
+#[test]
+fn concurrent_first_inserts_of_one_name_agree_on_one_id() {
+    const THREADS: u64 = 8;
+
+    let catalog = Catalog::new();
+    let start = std::sync::Barrier::new(THREADS as usize);
+    let ids: Vec<DocId> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let catalog = catalog.clone();
+                let start = &start;
+                scope.spawn(move || {
+                    let xml = marked_xml(1 + t);
+                    start.wait();
+                    catalog.insert_xml("fresh", &xml).unwrap()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+
+    assert!(ids.iter().all(|&id| id == ids[0]), "{ids:?}");
+    assert_eq!(catalog.resolve("fresh"), Some(ids[0]));
+    assert_eq!(catalog.generation("fresh"), Some(THREADS));
+    assert_eq!(catalog.len(), 1);
+    let stats = catalog.stats();
+    assert_eq!(
+        (stats.inserts, stats.replacements),
+        (1, THREADS - 1),
+        "{stats}"
+    );
+}
+
+/// Eight threads insert distinct new names into a catalog of capacity 4.
+/// Every insert mints its own id, the store never holds more than its
+/// capacity, and every evicted document is freed.
+#[test]
+fn concurrent_inserts_past_capacity_mint_distinct_ids_and_free_the_evicted() {
+    const THREADS: u64 = 8;
+    const NAMES: u64 = 20;
+    const CAPACITY: usize = 4;
+
+    let catalog = Catalog::builder().capacity(CAPACITY).build();
+    let seen: Mutex<Vec<(DocId, Weak<PreparedDocument>)>> = Mutex::new(Vec::new());
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let catalog = catalog.clone();
+            let seen = &seen;
+            scope.spawn(move || {
+                for i in 0..NAMES {
+                    let prepared = Arc::new(PreparedDocument::new(
+                        parse_xml(&marked_xml(1 + i)).unwrap(),
+                    ));
+                    let weak = Arc::downgrade(&prepared);
+                    let id = catalog.insert_prepared(&format!("t{t}-n{i}"), prepared);
+                    seen.lock().unwrap().push((id, weak));
+                    assert!(catalog.len() <= CAPACITY);
+                }
+            });
+        }
+    });
+
+    let seen = seen.into_inner().unwrap();
+    let ids: HashSet<DocId> = seen.iter().map(|(id, _)| *id).collect();
+    assert_eq!(
+        ids.len() as u64,
+        THREADS * NAMES,
+        "every name minted its own id"
+    );
+    assert_eq!(catalog.len(), CAPACITY);
+    let stats = catalog.stats();
+    assert_eq!(stats.inserts, THREADS * NAMES, "{stats}");
+    assert_eq!(
+        stats.evictions,
+        THREADS * NAMES - CAPACITY as u64,
+        "{stats}"
+    );
+
+    let live: Vec<Arc<PreparedDocument>> = catalog
+        .names()
+        .iter()
+        .map(|n| catalog.get(n).unwrap())
+        .collect();
+    for (id, weak) in seen {
+        match weak.upgrade() {
+            Some(held) => assert!(
+                live.iter().any(|l| Arc::ptr_eq(l, &held)),
+                "evicted document {id:?} is still alive"
+            ),
+            None => assert!(catalog.get_by_id(id).is_none(), "{id:?} is live but freed"),
+        }
+    }
 }
 
 #[test]
